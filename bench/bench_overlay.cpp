@@ -17,12 +17,10 @@
 //     ShardSet stays allocation-free per delivered copy in steady state, and
 //     every worker-thread count reproduces one observable run hash.
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <new>
 #include <string>
 #include <thread>
 #include <vector>
@@ -35,49 +33,7 @@
 #include "src/overlay/topology.h"
 #include "src/overlay/tree.h"
 #include "src/runtime/shard_set.h"
-
-// --- global counting allocator ----------------------------------------------
-// Same shape as bench_shard's: the Part 4 measured region is multi-threaded
-// (shard workers), so the count is a relaxed atomic — exact in total, order
-// irrelevant.
-namespace {
-std::atomic<uint64_t> g_alloc_count{0};
-
-void* CountedAlloc(std::size_t n) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  void* p = std::malloc(n == 0 ? 1 : n);
-  if (p == nullptr) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-
-void* CountedAlignedAlloc(std::size_t n, std::size_t align) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  void* p = nullptr;
-  if (posix_memalign(&p, align < sizeof(void*) ? sizeof(void*) : align, n == 0 ? 1 : n) != 0) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-}  // namespace
-
-void* operator new(std::size_t n) { return CountedAlloc(n); }
-void* operator new[](std::size_t n) { return CountedAlloc(n); }
-void* operator new(std::size_t n, std::align_val_t a) {
-  return CountedAlignedAlloc(n, static_cast<std::size_t>(a));
-}
-void* operator new[](std::size_t n, std::align_val_t a) {
-  return CountedAlignedAlloc(n, static_cast<std::size_t>(a));
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+#include "tests/counting_alloc.h"
 
 namespace {
 
@@ -180,11 +136,11 @@ ShardedStormScore RunShardedStorm(int shards, int threads, bool traced) {
   set.RunUntil(Seconds(1));
 
   const int64_t delivered_before = TotalDelivered(multicast, kShardedReceivers);
-  const uint64_t allocs_before = g_alloc_count.load(std::memory_order_relaxed);
+  const uint64_t allocs_before = AllocCount();
   const auto wall_before = std::chrono::steady_clock::now();
   set.RunUntilQuiescent();
   const auto wall_after = std::chrono::steady_clock::now();
-  const uint64_t allocs = g_alloc_count.load(std::memory_order_relaxed) - allocs_before;
+  const uint64_t allocs = AllocCount() - allocs_before;
   const int64_t delivered = TotalDelivered(multicast, kShardedReceivers) - delivered_before;
 
   ShardedStormScore score;
@@ -320,7 +276,8 @@ int main(int argc, char** argv) {
   {
     BenchRow("sharded receivers", kShardedReceivers, "", "(10^5-receiver spanning overlay)");
     uint64_t base_hash = 0;
-    for (const int threads : {1, 2, 8}) {
+    double base_rate = 0.0;
+    for (const int threads : {1, 2, 4, 8}) {
       // The 8-thread leg carries the merged per-shard trace when requested.
       const ShardedStormScore score =
           RunShardedStorm(/*shards=*/8, threads, threads == 8 && BenchTraceRequested());
@@ -330,15 +287,20 @@ int main(int argc, char** argv) {
                "(gated: must stay 0.000)");
       if (threads == 1) {
         base_hash = score.run_hash;
+        base_rate = score.deliveries_per_sec;
         BenchRow(tag + "join p50", static_cast<double>(score.join_p50), "us");
         BenchRow(tag + "join p99", static_cast<double>(score.join_p99), "us",
                  "(gated: a regression here is a repair-path stall)");
         BenchRow(tag + "re-parents", static_cast<double>(score.repairs), "");
         BenchRow(tag + "run hash", static_cast<double>(score.run_hash % 1000000), "");
-      } else if (score.run_hash != base_hash) {
-        std::fprintf(stderr, "FATAL: sharded overlay run hash diverged at %d threads\n",
-                     threads);
-        return 1;
+      } else {
+        BenchRow(tag + "speedup", base_rate > 0 ? score.deliveries_per_sec / base_rate : 0.0, "x",
+                 threads == 4 ? "(gated >= 1.5x on >= 4 hardware threads)" : "");
+        if (score.run_hash != base_hash) {
+          std::fprintf(stderr, "FATAL: sharded overlay run hash diverged at %d threads\n",
+                       threads);
+          return 1;
+        }
       }
     }
   }

@@ -8,21 +8,21 @@
 // back onto the timer path, a container growing in steady state, a coroutine
 // frame missing the pool — fails deterministically instead of nudging a ratio.
 //
-// The global operator new/delete replacement below mirrors bench_engine.cpp.
-// gtest itself allocates freely; all assertions read the counter first and
+// The global operator new/delete replacement is the shared counting allocator
+// (tests/counting_alloc.h) the E17-E19 benches link too.  gtest itself
+// allocates freely; all assertions read the counter first and
 // only then run EXPECT machinery, so the measured window stays clean.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <vector>
 
 #include "src/runtime/alt.h"
 #include "src/runtime/channel.h"
 #include "src/runtime/random.h"
 #include "src/runtime/scheduler.h"
+#include "tests/counting_alloc.h"
 
 #if defined(__SANITIZE_ADDRESS__)
 #define PANDORA_ALLOC_GATE_DISABLED 1
@@ -31,45 +31,6 @@
 #define PANDORA_ALLOC_GATE_DISABLED 1
 #endif
 #endif
-
-namespace {
-uint64_t g_alloc_count = 0;
-
-void* CountedAlloc(std::size_t n) {
-  ++g_alloc_count;
-  void* p = std::malloc(n == 0 ? 1 : n);
-  if (p == nullptr) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-
-void* CountedAlignedAlloc(std::size_t n, std::size_t align) {
-  ++g_alloc_count;
-  void* p = nullptr;
-  if (posix_memalign(&p, align < sizeof(void*) ? sizeof(void*) : align, n == 0 ? 1 : n) != 0) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-}  // namespace
-
-void* operator new(std::size_t n) { return CountedAlloc(n); }
-void* operator new[](std::size_t n) { return CountedAlloc(n); }
-void* operator new(std::size_t n, std::align_val_t a) {
-  return CountedAlignedAlloc(n, static_cast<std::size_t>(a));
-}
-void* operator new[](std::size_t n, std::align_val_t a) {
-  return CountedAlignedAlloc(n, static_cast<std::size_t>(a));
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
 
 namespace pandora {
 namespace {
@@ -92,9 +53,9 @@ class EngineAllocTest : public ::testing::Test {
 template <typename Drive>
 uint64_t MeasuredAllocs(Drive drive) {
   drive(kWarmupIters);
-  const uint64_t before = g_alloc_count;
+  const uint64_t before = AllocCount();
   drive(kMeasuredIters);
-  return g_alloc_count - before;
+  return AllocCount() - before;
 }
 
 TEST_F(EngineAllocTest, TimerChurnIsAllocationFree) {

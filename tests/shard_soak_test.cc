@@ -16,6 +16,12 @@
 // exercises workers owning different shard counts).
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <stdexcept>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "src/fault/plan.h"
 #include "src/runtime/shard_set.h"
 #include "src/runtime/time.h"
@@ -53,7 +59,7 @@ TEST(ShardSoak, StormWithChurnAndChaosUnderFullThreading) {
 TEST(ShardSoak, UnevenShardToWorkerAssignment) {
   // 8 shards on 3 workers: worker 0 owns shards {0,3,6}, worker 1 {1,4,7},
   // worker 2 {2,5}.  The result must match the sequential run anyway — and
-  // under TSan the lopsided finish times stress the done_cv_ handshake.
+  // under TSan the lopsided finish times stress the barrier's busy-count handshake.
   ShardStormOptions opt;
   opt.shards = 8;
   opt.threads = 3;
@@ -111,6 +117,198 @@ TEST(ShardSoak, MergedTraceExportAfterThreadedRun) {
   EXPECT_NE(json.find("\"s0:"), std::string::npos);
   EXPECT_NE(json.find("\"s3:"), std::string::npos);
   set.Shutdown();
+}
+
+// --- Barrier robustness ------------------------------------------------------
+// The window barrier polls briefly (spinning only when the executors fit on
+// the hardware threads) and then parks; the coordinator runs executor 0's
+// shards itself.  These drive its edges: a waiter that outlasts its poll
+// budget, more threads than cores, a shard exception escaping mid-window,
+// and teardown with cross-shard traffic still undelivered.
+
+// A deterministic busy loop standing in for a heavy shard's window work.
+uint64_t Burn(uint64_t seed, int rounds) {
+  for (int i = 0; i < rounds; ++i) {
+    seed = SplitMix64(seed);
+  }
+  return seed;
+}
+
+struct SkewedResult {
+  uint64_t chain = 0;
+  uint64_t ticks = 0;
+  std::vector<uint64_t> digests;
+  uint64_t cross = 0;
+  uint64_t idle_skips = 0;
+  friend bool operator==(const SkewedResult&, const SkewedResult&) = default;
+};
+
+// One heavy shard (5, owned by a spawned worker whenever threads > 1), seven
+// idle ones; shard 0 pings the heavy shard now and then so the mailbox path
+// runs too.  Every window but the pings' is one long shard and seven skips.
+SkewedResult RunSkewed(int threads, Duration until) {
+  ShardSetOptions options;
+  options.shards = 8;
+  options.threads = threads;
+  ShardSet set(options);
+  SkewedResult result;
+  SkewedResult* rp = &result;
+  auto heavy = [](Scheduler* sched, SkewedResult* r) -> Process {
+    for (;;) {
+      co_await sched->WaitFor(Millis(1));
+      r->chain = Burn(r->chain ^ static_cast<uint64_t>(sched->now()), 100000);
+      ++r->ticks;
+    }
+  };
+  set.shard(5).Spawn(heavy(&set.shard(5), rp), "heavy");
+  ShardSet* sp = &set;
+  auto pinger = [](ShardSet* set, SkewedResult* r) -> Process {
+    for (;;) {
+      co_await set->shard(0).WaitFor(Millis(7));
+      const Time when = set->shard(0).now() + Millis(2);
+      set->Post(0, 5, when, TimerCallback([r, when] { r->chain ^= SplitMix64(when); }));
+    }
+  };
+  set.shard(0).Spawn(pinger(sp, rp), "pinger");
+  set.RunUntil(until);
+  for (int s = 0; s < set.shard_count(); ++s) {
+    result.digests.push_back(set.ShardDigest(s));
+  }
+  result.cross = set.cross_shard_messages();
+  result.idle_skips = set.idle_shard_skips();
+  set.Shutdown();
+  return result;
+}
+
+TEST(ShardBarrier, SkewedWindowsOneHeavyShardSevenIdle) {
+  const SkewedResult seq = RunSkewed(1, Millis(150));
+  EXPECT_GT(seq.ticks, 100u);
+  EXPECT_GT(seq.cross, 10u);
+  EXPECT_GT(seq.idle_skips, 6u * 100u);
+  for (const int threads : {2, 4, 8}) {
+    EXPECT_TRUE(RunSkewed(threads, Millis(150)) == seq) << "threads=" << threads;
+  }
+}
+
+TEST(ShardBarrier, MoreThreadsThanHardwareThreadsNeverSpins) {
+  const int hw = static_cast<int>(std::thread::hardware_concurrency());
+  const int threads = (hw > 0 ? hw : 1) * 2 + 1;
+  ShardStormOptions opt;
+  opt.shards = threads;
+  opt.threads = threads;
+  opt.total_actors = 2 * threads;
+  opt.seed = 0x9A2C;
+  opt.duration = Millis(300);
+  ShardStormOptions sequential = opt;
+  sequential.threads = 1;
+  {
+    ShardSetOptions options;
+    options.shards = threads;
+    options.threads = threads;
+    ShardSet oversubscribed(options);
+    EXPECT_FALSE(oversubscribed.spins()) << "more threads than cores must yield, not spin";
+    options.threads = 1;
+    ShardSet inline_only(options);
+    EXPECT_FALSE(inline_only.spins()) << "a one-thread set has nobody to wait for";
+    if (hw >= 2) {
+      options.threads = 2;
+      ShardSet fitting(options);
+      EXPECT_TRUE(fitting.spins());
+    }
+  }
+  const ShardStormResult oversubscribed = RunShardStorm(opt);
+  const ShardStormResult seq = RunShardStorm(sequential);
+  EXPECT_TRUE(oversubscribed == seq);
+  EXPECT_GT(oversubscribed.cross_shard_messages, 0u);
+}
+
+// Shards 2 and 6 each host a process that throws at the same instant, so
+// both fail inside one window while every shard is posting cross-shard
+// traffic.  The set must rethrow shard 2's error (lowest shard first) with
+// every worker parked, then keep running.
+struct FaultyWorld {
+  explicit FaultyWorld(int threads) {
+    ShardSetOptions options;
+    options.shards = 8;
+    options.threads = threads;
+    set = std::make_unique<ShardSet>(options);
+    for (int s = 0; s < 8; ++s) {
+      set->shard(s).Spawn(Chatter(set.get(), s, received), "chatter");
+    }
+    for (const int s : {6, 2}) {
+      set->shard(s).Spawn(Thrower(&set->shard(s), s), "thrower");
+    }
+  }
+
+  static Process Chatter(ShardSet* set, int s, uint64_t* received) {
+    for (;;) {
+      co_await set->shard(s).WaitFor(Micros(300 + 50 * s));
+      uint64_t* target = &received[(s + 3) % 8];
+      set->Post(s, (s + 3) % 8, set->shard(s).now() + Millis(1) + s,
+                TimerCallback([target] { ++*target; }));
+    }
+  }
+
+  static Process Thrower(Scheduler* sched, int s) {
+    co_await sched->WaitFor(Millis(5) + 200);
+    throw std::runtime_error("shard " + std::to_string(s));
+  }
+
+  std::unique_ptr<ShardSet> set;
+  uint64_t received[8] = {};
+};
+
+TEST(ShardBarrier, MidWindowExceptionRethrowsLowestShardWithWorkersParked) {
+  for (const int threads : {1, 3, 4, 8}) {
+    FaultyWorld world(threads);
+    std::string caught;
+    try {
+      world.set->RunUntil(Millis(20));
+    } catch (const std::runtime_error& e) {
+      caught = e.what();
+    }
+    EXPECT_EQ(caught, "shard 2") << "threads=" << threads;
+    // The failing window left cross-shard rows behind; the set resumes from
+    // the barrier, delivers them and keeps running on the same workers.
+    EXPECT_GT(world.set->undrained_messages(), 0u) << "threads=" << threads;
+    world.set->RunUntil(Millis(20));
+    EXPECT_EQ(world.set->now(), Millis(20));
+    EXPECT_EQ(world.set->undrained_messages(), 0u);
+    uint64_t total = 0;
+    for (const uint64_t n : world.received) {
+      total += n;
+    }
+    EXPECT_GT(total, 100u) << "threads=" << threads;
+    world.set->Shutdown();
+  }
+}
+
+TEST(ShardBarrier, TeardownWithUndeliveredRows) {
+  for (const int threads : {1, 4, 8}) {
+    // Destructor path: a mid-window exception leaves this window's rows
+    // undelivered, the coordinator adds more, and the set is destroyed
+    // without Shutdown while its workers are parked.
+    {
+      FaultyWorld world(threads);
+      EXPECT_THROW(world.set->RunUntil(Millis(20)), std::runtime_error);
+      world.set->Post(1, 4, Millis(40), TimerCallback([] {}));
+      EXPECT_GT(world.set->undrained_messages(), 1u);
+    }
+    // Shutdown path: rows posted between Run* calls plus entries already
+    // armed on destination wheels by a RunUntil stop; Shutdown drops both,
+    // and a second Shutdown (the destructor's) is a no-op.
+    {
+      FaultyWorld world(threads);
+      EXPECT_THROW(world.set->RunUntil(Millis(20)), std::runtime_error);
+      world.set->RunUntil(Millis(30));
+      for (int src = 0; src < 8; ++src) {
+        world.set->Post(src, (src + 1) % 8, Millis(33) + src, TimerCallback([] {}));
+      }
+      EXPECT_EQ(world.set->undrained_messages(), 8u);
+      world.set->Shutdown();
+      EXPECT_EQ(world.set->undrained_messages(), 0u);
+    }
+  }
 }
 
 }  // namespace
