@@ -16,6 +16,9 @@
 //   - Sharded (Part 4): the SAME churn storm at 10^5 receivers spanning a
 //     ShardSet stays allocation-free per delivered copy in steady state, and
 //     every worker-thread count reproduces one observable run hash.
+//
+// Parts 1-3 run on a default one-shard ShardSet: the whole city on one
+// Scheduler.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -27,8 +30,6 @@
 
 #include "bench/bench_common.h"
 #include "src/fault/plan.h"
-#include "src/overlay/churn.h"
-#include "src/overlay/multicast.h"
 #include "src/overlay/sharded.h"
 #include "src/overlay/topology.h"
 #include "src/overlay/tree.h"
@@ -61,13 +62,13 @@ RepairRunResult RunSingleRepair(int stripes, TreePolicy policy) {
   OverlayTopology topology = GenerateTopology(params);
   StripedTrees trees = TreeBuilder::Build(topology, stripes, policy);
 
-  Scheduler sched;
-  OverlayMulticast multicast(&sched, &topology, &trees, MulticastParams{}, kLossSeed);
+  ShardSet set;
+  ShardedOverlayMulticast multicast(&set, &topology, &trees, MulticastParams{}, kLossSeed);
   const int leaver = trees.root_children[0][0];
   multicast.Start(/*emit_until=*/Seconds(2));
-  OverlayMulticast* mc = &multicast;
-  sched.AddTimer(Seconds(1), TimerCallback([mc, leaver] { mc->Leave(leaver); }));
-  sched.RunUntilQuiescent();
+  ShardedOverlayMulticast* mc = &multicast;
+  set.PostGlobal(Seconds(1), TimerCallback([mc, leaver] { mc->Leave(leaver); }));
+  set.RunUntilQuiescent();
 
   RepairRunResult result;
   result.emitted = multicast.emitted();
@@ -168,7 +169,7 @@ ShardedStormScore RunShardedStorm(int shards, int threads, bool traced) {
 int main(int argc, char** argv) {
   BenchParseArgs(argc, argv);
   // --shards=N / --threads=M pin the Part 4 spanning configuration (and skip
-  // the single-engine parts, which a sharded CI leg re-measures for nothing).
+  // the one-shard parts, which a sharded CI leg re-measures for nothing).
   int only_shards = 0;
   int only_threads = 0;
   for (int i = 1; i < argc; ++i) {
@@ -246,15 +247,15 @@ int main(int argc, char** argv) {
     storm.permanent_fraction = 0.05;
     FaultPlan plan = RandomChurnPlan(/*seed=*/7, storm);
 
-    Scheduler sched;
-    BenchEnableTrace(sched);
-    OverlayMulticast multicast(&sched, &topology, &trees, MulticastParams{}, kLossSeed);
-    OverlayChurnDriver churn(&sched, &multicast, plan);
+    ShardSet set;
+    BenchEnableTrace(set.scheduler());
+    ShardedOverlayMulticast multicast(&set, &topology, &trees, MulticastParams{}, kLossSeed);
+    ShardedOverlayChurnDriver churn(&set, &multicast, plan);
     multicast.Start(/*emit_until=*/Millis(3800));
     churn.Start();
-    sched.RunUntilQuiescent();
+    set.RunUntilQuiescent();
 
-    std::vector<Duration> joins = multicast.join_latencies();
+    std::vector<Duration> joins = multicast.JoinLatencies();
     std::sort(joins.begin(), joins.end());
     const Duration p50 = joins[joins.size() / 2];
     const Duration p99 = joins[(joins.size() * 99) / 100];
@@ -266,7 +267,7 @@ int main(int argc, char** argv) {
              "(gated: a regression here is a repair-path stall)");
     BenchRow("run hash", static_cast<double>(multicast.RunHash() % 1000000), "",
              "(low 6 digits; bit-exact replay is asserted by tests)");
-    BenchExportTrace(sched);
+    BenchExportTrace(set.scheduler());
   }
 
   // --- Part 4: the same storm at 10^5 receivers spanning 8 shards.  The

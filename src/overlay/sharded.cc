@@ -244,7 +244,7 @@ void ShardedOverlayMulticast::RepairNow(int r) {
   }
 }
 
-std::vector<Duration> ShardedOverlayMulticast::JoinLatencies() const {
+std::vector<ShardedOverlayMulticast::JoinRecord> ShardedOverlayMulticast::MergedJoinLog() const {
   std::vector<JoinRecord> merged;
   size_t total = 0;
   for (const auto& log : join_log_) {
@@ -257,6 +257,11 @@ std::vector<Duration> ShardedOverlayMulticast::JoinLatencies() const {
   std::sort(merged.begin(), merged.end(), [](const JoinRecord& a, const JoinRecord& b) {
     return a.at != b.at ? a.at < b.at : a.receiver < b.receiver;
   });
+  return merged;
+}
+
+std::vector<Duration> ShardedOverlayMulticast::JoinLatencies() const {
+  const std::vector<JoinRecord> merged = MergedJoinLog();
   std::vector<Duration> latencies;
   latencies.reserve(merged.size());
   for (const JoinRecord& record : merged) {
@@ -283,14 +288,7 @@ uint64_t ShardedOverlayMulticast::RunHash() const {
     hash = FnvMix(hash, static_cast<uint64_t>(d));
   }
   // The join log in its canonical (time, receiver) order.
-  std::vector<JoinRecord> merged;
-  for (const auto& log : join_log_) {
-    merged.insert(merged.end(), log.begin(), log.end());
-  }
-  std::sort(merged.begin(), merged.end(), [](const JoinRecord& a, const JoinRecord& b) {
-    return a.at != b.at ? a.at < b.at : a.receiver < b.receiver;
-  });
-  for (const JoinRecord& record : merged) {
+  for (const JoinRecord& record : MergedJoinLog()) {
     hash = FnvMix(hash, static_cast<uint64_t>(record.at));
     hash = FnvMix(hash, static_cast<uint64_t>(record.receiver));
     hash = FnvMix(hash, static_cast<uint64_t>(record.latency));
@@ -315,8 +313,9 @@ ShardedOverlayChurnDriver::ShardedOverlayChurnDriver(ShardSet* shards,
 
 void ShardedOverlayChurnDriver::Start() {
   const Time now = shards_->now();
+  const int receivers = multicast_->trees_->receiver_count();
   for (const FaultEvent& event : plan_.events) {
-    if (event.kind != FaultKind::kChurn) {
+    if (event.kind != FaultKind::kChurn || event.target < 0 || event.target >= receivers) {
       ++ignored_;
       continue;
     }

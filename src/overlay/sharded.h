@@ -1,10 +1,25 @@
-// ShardedOverlayMulticast: the striped distribution data plane, spanning a
-// ShardSet.
+// ShardedOverlayMulticast: the striped distribution data plane.
 //
-// OverlayMulticast (multicast.h) runs a whole city on one Scheduler.  This
-// variant partitions the receiver population across the set's shards —
-// receiver r lives on shard r % shards — and keeps the exact same overlay
-// semantics:
+// City-scale means 10^3..10^5 receivers, far past what full PandoraBox /
+// AtmPort instances (each owning a wire pool) can populate.  The data plane
+// is therefore a lightweight timer layer directly on the ShardSet's
+// Schedulers: the source emits one audio segment per cadence tick onto tree
+// seq % k, and every delivery is a timer whose callback relays to the
+// receiver's children in that tree — recursive split-at-the-switch, exactly
+// the paper's P5/P6 fan-out but composed to arbitrary depth.
+//
+// P5 at every hop, by construction: a relay never waits for a slow child.
+// Each (receiver, tree) uplink lane serializes copies at the lane's service
+// rate (the access uplink dimensioned 1/k per stripe, which is what
+// striping buys); when a lane's backlog exceeds the queue budget the copy
+// is DROPPED and counted at the child, and the sibling copies go out on
+// time.  A choked subtree therefore starves alone — the property tests
+// assert its cousins see bit-for-bit full delivery.
+//
+// The receiver population is partitioned across the set's shards —
+// receiver r lives on shard r % shards.  A one-shard set (the default
+// ShardSetOptions) runs the whole city on one Scheduler: every hop is
+// same-shard and every PostGlobal is a plain timer.  With more shards:
 //
 //  * A relay executes on the PARENT's shard (the paper's switch duplicates
 //    copies where the stream is): lane serialization and the queue-budget
@@ -24,7 +39,7 @@
 // shards), each (tree, child, seq) copy hashes to its own uniform draw.
 // Every per-receiver outcome is therefore independent of the partition; the
 // aggregate RunHash folds state in receiver order plus a time-sorted join
-// log, so one seed yields one hash across thread counts.
+// log, so one seed yields one hash across shard and thread counts.
 //
 // Churn is control-plane: Leave/Join/repair mutate the shared StripedTrees,
 // which the data plane reads during windows, so the churn driver runs every
@@ -38,7 +53,6 @@
 #include <vector>
 
 #include "src/fault/plan.h"
-#include "src/overlay/multicast.h"
 #include "src/overlay/repair.h"
 #include "src/overlay/topology.h"
 #include "src/overlay/tree.h"
@@ -47,11 +61,37 @@
 
 namespace pandora {
 
+struct MulticastParams {
+  Duration segment_interval = Millis(4);  // live audio cadence (segment/constants.h)
+  int64_t segment_bytes = 68;             // E16 wire image of a live audio segment
+  Duration repair_delay = Millis(10);     // leave detection + re-parent latency
+  // Per-lane backlog (in copies) before a copy is shed.  A relay bursts all
+  // of its children's copies at one instant, so the budget must exceed the
+  // fanout: a full burst is normal and drains before the next segment, while
+  // a lane that cannot drain between segments backs up past any budget.
+  int64_t queue_budget = 16;
+};
+
+struct OverlayReceiverStats {
+  int64_t delivered = 0;
+  int64_t dropped_queue = 0;   // parent lane over budget — P5 drop, not block
+  int64_t dropped_loss = 0;    // access-link loss
+  int64_t dropped_late = 0;    // duplicate / out-of-order after a re-parent
+  int64_t missed_absent = 0;   // copy arrived while churned out
+  Time last_delivery = 0;
+};
+
+struct OverlayRepairEvent {
+  Time at = 0;
+  int tree = 0;
+  int node = 0;        // orphan root or (re)joiner
+  int new_parent = 0;  // receiver id or kOverlaySource
+};
+
 class ShardedOverlayMulticast {
  public:
   // `trees` must outlive the multicast and is mutated only at stop-the-world
-  // instants (Leave/Join/repair).  With a one-shard set this degenerates to
-  // the single-engine data plane (every hop is same-shard).
+  // instants (Leave/Join/repair).
   ShardedOverlayMulticast(ShardSet* shards, const OverlayTopology* topology, StripedTrees* trees,
                           MulticastParams params, uint64_t seed);
 
@@ -62,7 +102,11 @@ class ShardedOverlayMulticast {
 
   // Churn entry points.  Must run at a stop-the-world instant: from the
   // coordinator between Run* calls, or inside a PostGlobal callback (the
-  // ShardedOverlayChurnDriver).  They mutate the shared trees.
+  // ShardedOverlayChurnDriver).  They mutate the shared trees.  Leave
+  // detaches immediately and schedules the subtree repair after
+  // repair_delay; Join attaches as a leaf and starts the join-to-first-
+  // segment clock.  Ops against a receiver already in that state count as
+  // skipped, like FaultDriver faults against closed circuits.
   void Leave(int r);
   void Join(int r);
 
@@ -93,6 +137,8 @@ class ShardedOverlayMulticast {
   uint64_t RunHash() const;
 
  private:
+  friend class ShardedOverlayChurnDriver;  // reads the receiver count
+
   // A completed join clock: receiver and the instant/latency of its first
   // delivery.  Logged per shard (each appended only by its owner), merged
   // at observation time.
@@ -111,6 +157,8 @@ class ShardedOverlayMulticast {
   // Charges a parent-side drop to the child, on the child's shard.
   void CountDrop(int child, int kind);
   void RepairNow(int r);
+  // Every shard's join log merged into the canonical (time, receiver) order.
+  std::vector<JoinRecord> MergedJoinLog() const;
   // Stateless per-copy loss draw — a pure function of (seed, tree, child,
   // seq), independent of event order and shard layout.
   bool LossDraw(int tree, int child, int64_t seq, double loss_rate) const;
@@ -149,14 +197,24 @@ class ShardedOverlayMulticast {
   int64_t churn_skipped_ = 0;
 };
 
-// Applies FaultPlan churn to a ShardedOverlayMulticast.  Every leave/rejoin
-// is armed as a PostGlobal stop-the-world event at Start, in plan order, so
-// coincident events replay exactly as listed — the spanning twin of
-// OverlayChurnDriver.
+// Applies FaultPlan churn events to a live multicast.
+//
+// The fault subsystem owns the storm's SHAPE (seeded draw, text round-trip,
+// replay via PANDORA_FAULT_PLAN); this driver owns its EFFECT.  A kChurn
+// event `@t churn recv=r for=d` becomes Leave(r) at t and — unless d is 0,
+// the gone-for-good case — Join(r) at t+d.  Every leave/rejoin is armed as
+// a PostGlobal stop-the-world event at Start, in plan order, so coincident
+// departures and rejoins replay exactly as the plan lists them, which is
+// what makes a churn-storm run a pure function of (topology, params, seed,
+// plan).
 class ShardedOverlayChurnDriver {
  public:
   ShardedOverlayChurnDriver(ShardSet* shards, ShardedOverlayMulticast* multicast, FaultPlan plan);
 
+  // Arms one leave event (and one rejoin event for non-permanent events)
+  // per churn event.  Non-churn events in a mixed plan, and churn events
+  // naming no receiver of this overlay, are counted ignored — the former
+  // belong to a Simulation's FaultDriver, which in turn skips ours.
   void Start();
 
   int64_t departures() const { return departures_; }

@@ -45,15 +45,13 @@
 namespace pandora {
 
 // Bounds for a batched drain cycle (DESIGN.md §15).  A drain takes at most
-// `max_batch` elements per wakeup, and a consumer that holds a partial batch
-// open waits at most `max_hold` of *simulated* time before flushing — so the
-// added delay is bounded (P7) and every batch boundary is a pure function of
-// simulated time, never of wall-clock interleaving (replay stays bit-exact,
-// shards stay thread-count-invariant).  max_hold = 0 means "drain only what
-// is already parked": zero added simulated delay, pure wall-clock win.
+// `max_batch` elements per wakeup, and only elements already parked at the
+// current simulated instant: zero added simulated delay, a pure wall-clock
+// win.  Every batch boundary is therefore a pure function of simulated
+// state, never of wall-clock interleaving (replay stays bit-exact, shards
+// stay thread-count-invariant).
 struct BatchOptions {
   int max_batch = 16;
-  Duration max_hold = 0;
 };
 
 // Something (an Alt) that wants to learn when a channel becomes readable.

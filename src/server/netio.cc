@@ -195,12 +195,6 @@ Process NetworkOutput::SenderProc() {
       source = &video_buffer_;
     }
     batch.push_back(std::move(ref));
-    if (options_.batch.max_hold > 0) {
-      // Hold the batch open for a bounded slice of simulated time so more
-      // of the same class accumulates; the boundary is a pure function of
-      // simulated time (deterministic under replay and sharding).
-      co_await sched_->WaitFor(options_.batch.max_hold);
-    }
     if (options_.batch.max_batch > 1) {
       // FIFO-safe drain of the same class: first the segment (if any) the
       // buffer's internal sender already holds parked on output(), then a
@@ -226,9 +220,6 @@ Process NetworkInput::Run() {
     // parked on the rx channel (in-flight deliveries pile up there) into
     // the same wakeup, bounded by the batch budget (DESIGN.md §15).
     batch.push_back(co_await port_->rx().Receive());
-    if (options_.batch.max_hold > 0) {
-      co_await sched_->WaitFor(options_.batch.max_hold);
-    }
     if (options_.batch.max_batch > 1) {
       port_->rx().TryReceiveBatch(batch, options_.batch.max_batch - 1);
     }

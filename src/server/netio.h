@@ -124,9 +124,7 @@ struct NetworkInputOptions {
   std::string name = "server.netin";
   // Ingress drain budget per wakeup: after the blocking receive of the
   // first wire image, up to max_batch - 1 further images already parked on
-  // the port's rx channel decode in the same wakeup.  max_hold > 0 waits
-  // that much simulated time after the first image before draining —
-  // boundaries stay a pure function of simulated time (DESIGN.md §15).
+  // the port's rx channel decode in the same wakeup (DESIGN.md §15).
   BatchOptions batch;
 };
 

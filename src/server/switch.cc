@@ -207,9 +207,6 @@ Process Switch::Run() {
       HandleCommand(command);
     } else if (chosen == 1) {
       SegmentRef ref = co_await input_.Receive();
-      if (options_.batch.max_hold > 0) {
-        co_await sched_->WaitFor(options_.batch.max_hold);
-      }
       if (options_.batch.max_batch > 1) {
         input_.TryReceiveBatch(batch, options_.batch.max_batch - 1);
       }

@@ -3,7 +3,7 @@
 //
 // The batching argument: every drain primitive harvests only work that is
 // ALREADY parked at the same simulated instant, and dispatch round-trips
-// cost zero simulated time, so at max_hold = 0 a batched run and the legacy
+// cost zero simulated time, so a batched run and the legacy
 // one-segment-per-wakeup run see identical queue occupancies at every
 // simulated time — every observable (deliveries, losses, gap detection,
 // copies, mixer output) must coincide bit for bit.  These tests pin that
@@ -123,7 +123,6 @@ TEST(BatchDeterminismTest, BatchedRunMatchesUnbatchedGoldenAtMaxHoldZero) {
   legacy.max_batch = 1;  // the pre-batching engine, path for path
   BatchOptions batched;
   batched.max_batch = 16;
-  batched.max_hold = 0;
 
   uint64_t delivered_legacy = 0;
   uint64_t delivered_batched = 0;
@@ -144,33 +143,6 @@ TEST(BatchDeterminismTest, BatchBoundariesAreThreadCountAndPartitionInvariant) {
   const uint64_t sharded_par = RunRing(4, 4, batched, nullptr);
   EXPECT_GT(delivered, 1000u);
   EXPECT_EQ(sharded_seq, sharded_par) << "thread count leaked into batch boundaries";
-}
-
-TEST(BatchDeterminismTest, MaxHoldCoalescesWithoutLosingTraffic) {
-  // A nonzero hold delays the drain by bounded simulated time; observables
-  // may legitimately shift, but nothing may be lost or reordered on a
-  // lossless ring, and replay must stay exact.
-  BatchOptions held;
-  held.max_batch = 16;
-  held.max_hold = Micros(250);
-
-  uint64_t delivered_first = 0;
-  const uint64_t first = RunRing(1, 1, held, &delivered_first);
-  const uint64_t replay = RunRing(1, 1, held, nullptr);
-  EXPECT_EQ(first, replay) << "max_hold > 0 run did not replay bit-exactly";
-  EXPECT_GT(delivered_first, 1000u);
-
-  SimulationOptions options;
-  options.seed = 29;
-  RingWorld world(options);
-  BuildRingWorld(world, held);
-  world.sim.RunFor(Seconds(3));
-  for (size_t i = 0; i < world.at_dst.size(); ++i) {
-    const SequenceTracker* tracker = world.dst[i]->audio_receiver().TrackerFor(world.at_dst[i]);
-    ASSERT_NE(tracker, nullptr);
-    EXPECT_GT(tracker->received(), 500u);  // ~750 segments per circuit in 3 s
-    EXPECT_EQ(tracker->missing_total(), 0u) << "hold-coalesced ring lost segments";
-  }
 }
 
 }  // namespace

@@ -18,6 +18,8 @@
 //     its text round trip, so (format -> parse -> replay) must reproduce
 //     the exact RunHash of the original.
 //
+// Every world runs the data plane on a default (one-shard) ShardSet.
+//
 // PANDORA_CHAOS_SEED_BASE offsets the seed range (chaos_sweep runs this
 // suite as its 10th seed base); PANDORA_CHAOS_PLANS scales the per-test
 // topology counts.
@@ -29,11 +31,11 @@
 #include <gtest/gtest.h>
 
 #include "src/fault/plan.h"
-#include "src/overlay/churn.h"
-#include "src/overlay/multicast.h"
+#include "src/overlay/sharded.h"
 #include "src/overlay/topology.h"
 #include "src/overlay/tree.h"
 #include "src/runtime/random.h"
+#include "src/runtime/shard_set.h"
 
 namespace pandora {
 namespace {
@@ -150,10 +152,11 @@ TEST(OverlayProperty, ChokedRelayStarvesOnlyItsOwnSubtree) {
     topology.links[static_cast<size_t>(choked)].bits_per_second = 1'000;
     const std::vector<int> starved = SubtreeOf(trees, 0, choked);
 
-    Scheduler sched;
-    OverlayMulticast multicast(&sched, &topology, &trees, MulticastParams{}, world.params.seed);
+    ShardSet set;
+    ShardedOverlayMulticast multicast(&set, &topology, &trees, MulticastParams{},
+                                      world.params.seed);
     multicast.Start(Millis(400));
-    sched.RunUntilQuiescent();
+    set.RunUntilQuiescent();
 
     std::vector<bool> in_subtree(static_cast<size_t>(topology.receiver_count()), false);
     for (int r : starved) {
@@ -197,12 +200,13 @@ TEST(OverlayProperty, RepairOfOneTreeNeverDisturbsTheOthers) {
 
     const std::vector<std::vector<int>> parents_before = trees.parent;
 
-    Scheduler sched;
-    OverlayMulticast multicast(&sched, &topology, &trees, MulticastParams{}, world.params.seed);
-    OverlayMulticast* mc = &multicast;
+    ShardSet set;
+    ShardedOverlayMulticast multicast(&set, &topology, &trees, MulticastParams{},
+                                      world.params.seed);
+    ShardedOverlayMulticast* mc = &multicast;
     multicast.Start(Millis(400));
-    sched.AddTimer(Millis(150), TimerCallback([mc, leaver] { mc->Leave(leaver); }));
-    sched.RunUntilQuiescent();
+    set.PostGlobal(Millis(150), TimerCallback([mc, leaver] { mc->Leave(leaver); }));
+    set.RunUntilQuiescent();
 
     // P6, structural: in every OTHER tree no receiver but the leaver was
     // re-parented — repair touched exactly one stripe.
@@ -252,20 +256,21 @@ TEST(OverlayProperty, ChurnStormsConvergeAndKeepDelivering) {
     storm.permanent_fraction = 0.1;
     const FaultPlan plan = RandomChurnPlan(world.params.seed ^ 0xbeef, storm);
 
-    Scheduler sched;
-    OverlayMulticast multicast(&sched, &topology, &trees, MulticastParams{}, world.params.seed);
-    OverlayChurnDriver churn(&sched, &multicast, plan);
+    ShardSet set;
+    ShardedOverlayMulticast multicast(&set, &topology, &trees, MulticastParams{},
+                                      world.params.seed);
+    ShardedOverlayChurnDriver churn(&set, &multicast, plan);
     multicast.Start(Millis(900));
     churn.Start();
 
     // Let the storm and every scheduled repair play out, then snapshot and
     // verify the tail of the emission reaches every present receiver.
-    sched.RunUntil(Millis(700));
+    set.RunUntil(Millis(700));
     std::vector<int64_t> delivered_mid(static_cast<size_t>(world.params.receivers), 0);
     for (int r = 0; r < world.params.receivers; ++r) {
       delivered_mid[static_cast<size_t>(r)] = multicast.stats(r).delivered;
     }
-    sched.RunUntilQuiescent();
+    set.RunUntilQuiescent();
 
     const std::string what = Describe(world) + " plan=\"" + FormatFaultPlan(plan) + "\"";
     ExpectStructuralInvariants(trees, what);
@@ -309,12 +314,12 @@ TEST(OverlayProperty, CityScaleStripedStormReplaysBitExact) {
   auto run = [&](const FaultPlan& p) {
     OverlayTopology topology = GenerateTopology(params);
     StripedTrees trees = TreeBuilder::Build(topology, 2, TreePolicy::kBalancedFanout);
-    Scheduler sched;
-    OverlayMulticast multicast(&sched, &topology, &trees, MulticastParams{}, 404);
-    OverlayChurnDriver churn(&sched, &multicast, p);
+    ShardSet set;
+    ShardedOverlayMulticast multicast(&set, &topology, &trees, MulticastParams{}, 404);
+    ShardedOverlayChurnDriver churn(&set, &multicast, p);
     multicast.Start(Millis(1900));
     churn.Start();
-    sched.RunUntilQuiescent();
+    set.RunUntilQuiescent();
     ExpectStructuralInvariants(trees, "city-scale storm seed=" + std::to_string(storm_seed));
     EXPECT_GT(multicast.repairs(), 0);
     EXPECT_EQ(multicast.repair().overflow(), 0);

@@ -1,18 +1,22 @@
 // Unit coverage for src/overlay/: topology generator determinism (golden
 // hash), tree-builder invariants, the churn FaultPlan kind's text round
 // trip, and the multicast data plane's basic delivery / leave-repair-rejoin
-// cycle on small overlays.  The transitive P5/P6 properties over random
-// topologies live in overlay_property_test.cc.
+// cycle on small overlays, run on a default (one-shard) ShardSet.  The
+// transitive P5/P6 properties over random topologies live in
+// overlay_property_test.cc; partition and thread invariance in
+// shard_determinism_test.cc.
+#include <algorithm>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/fault/plan.h"
-#include "src/overlay/churn.h"
-#include "src/overlay/multicast.h"
 #include "src/overlay/repair.h"
+#include "src/overlay/sharded.h"
 #include "src/overlay/topology.h"
 #include "src/overlay/tree.h"
+#include "src/runtime/shard_set.h"
 
 namespace pandora {
 namespace {
@@ -115,10 +119,10 @@ TEST(OverlayChurnPlan, HandWrittenClauseParses) {
 TEST(OverlayMulticast, LosslessOverlayDeliversEverySegmentToEveryone) {
   const OverlayTopology topology = GenerateTopology(SmallParams(11, 120));
   StripedTrees trees = TreeBuilder::Build(topology, 2, TreePolicy::kBalancedFanout);
-  Scheduler sched;
-  OverlayMulticast multicast(&sched, &topology, &trees, MulticastParams{}, 1);
+  ShardSet set;
+  ShardedOverlayMulticast multicast(&set, &topology, &trees, MulticastParams{}, 1);
   multicast.Start(Millis(400));
-  sched.RunUntilQuiescent();
+  set.RunUntilQuiescent();
 
   ASSERT_GT(multicast.emitted(), 0);
   for (int r = 0; r < topology.receiver_count(); ++r) {
@@ -127,23 +131,23 @@ TEST(OverlayMulticast, LosslessOverlayDeliversEverySegmentToEveryone) {
     EXPECT_EQ(multicast.stats(r).dropped_loss, 0) << "r=" << r;
   }
   // Everyone present from the start gets exactly one join-latency sample.
-  EXPECT_EQ(multicast.join_latencies().size(), static_cast<size_t>(topology.receiver_count()));
+  EXPECT_EQ(multicast.JoinLatencies().size(), static_cast<size_t>(topology.receiver_count()));
 }
 
 TEST(OverlayMulticast, LeaveRepairsAndRejoinMeasuresJoinLatency) {
   const OverlayTopology topology = GenerateTopology(SmallParams(13, 150));
   StripedTrees trees = TreeBuilder::Build(topology, 2, TreePolicy::kBalancedFanout);
-  Scheduler sched;
-  OverlayMulticast multicast(&sched, &topology, &trees, MulticastParams{}, 1);
+  ShardSet set;
+  ShardedOverlayMulticast multicast(&set, &topology, &trees, MulticastParams{}, 1);
   // The first root child of tree 0 relays the largest subtree.
   const int leaver = trees.root_children[0][0];
   ASSERT_FALSE(trees.children[0][static_cast<size_t>(leaver)].empty());
 
-  OverlayMulticast* mc = &multicast;
+  ShardedOverlayMulticast* mc = &multicast;
   multicast.Start(Millis(600));
-  sched.AddTimer(Millis(200), TimerCallback([mc, leaver] { mc->Leave(leaver); }));
-  sched.AddTimer(Millis(400), TimerCallback([mc, leaver] { mc->Join(leaver); }));
-  sched.RunUntilQuiescent();
+  set.PostGlobal(Millis(200), TimerCallback([mc, leaver] { mc->Leave(leaver); }));
+  set.PostGlobal(Millis(400), TimerCallback([mc, leaver] { mc->Join(leaver); }));
+  set.RunUntilQuiescent();
 
   // The subtree was re-parented (repair log has the leave repairs plus the
   // rejoin) and the final structure is sound again.
@@ -154,7 +158,7 @@ TEST(OverlayMulticast, LeaveRepairsAndRejoinMeasuresJoinLatency) {
   EXPECT_TRUE(IsAcyclic(trees));
   EXPECT_EQ(multicast.repair().overflow(), 0);
   // One extra join sample beyond the initial population: the rejoin.
-  EXPECT_EQ(multicast.join_latencies().size(),
+  EXPECT_EQ(multicast.JoinLatencies().size(),
             static_cast<size_t>(topology.receiver_count()) + 1);
   // The leaver missed the segments emitted while it was away but is back to
   // receiving afterwards.
@@ -165,8 +169,8 @@ TEST(OverlayMulticast, LeaveRepairsAndRejoinMeasuresJoinLatency) {
 TEST(OverlayChurnDriver, AppliesPlanAndSkipsDoubleDepartures) {
   const OverlayTopology topology = GenerateTopology(SmallParams(17, 100));
   StripedTrees trees = TreeBuilder::Build(topology, 2, TreePolicy::kBalancedFanout);
-  Scheduler sched;
-  OverlayMulticast multicast(&sched, &topology, &trees, MulticastParams{}, 1);
+  ShardSet set;
+  ShardedOverlayMulticast multicast(&set, &topology, &trees, MulticastParams{}, 1);
 
   FaultPlan plan;
   std::string error;
@@ -175,10 +179,10 @@ TEST(OverlayChurnDriver, AppliesPlanAndSkipsDoubleDepartures) {
                              " @200ms churn recv=5 for=50ms; @150ms churn recv=9",
                              &plan, &error))
       << error;
-  OverlayChurnDriver churn(&sched, &multicast, plan);
+  ShardedOverlayChurnDriver churn(&set, &multicast, plan);
   multicast.Start(Millis(600));
   churn.Start();
-  sched.RunUntilQuiescent();
+  set.RunUntilQuiescent();
 
   EXPECT_EQ(churn.departures(), 3);
   EXPECT_EQ(churn.rejoins(), 2);
@@ -192,6 +196,94 @@ TEST(OverlayChurnDriver, AppliesPlanAndSkipsDoubleDepartures) {
   EXPECT_FALSE(trees.absent(5));
   EXPECT_TRUE(IsAcyclic(trees));
   EXPECT_TRUE(InteriorDisjoint(trees));
+}
+
+TEST(OverlayGolden, ChurnStormMatchesSingleSchedulerEngine) {
+  // A fixed world that ignores PANDORA_CHAOS_SEED_BASE: 2000 receivers on
+  // the default (lossless) tiers, k = 2 balanced trees, a 48..64-event churn
+  // storm.  The digest folds every per-receiver stat, every per-stripe
+  // count, the repair log and the join-latency sequence.  The pinned values
+  // were recorded on the retired single-Scheduler data plane (one
+  // event-ordered loss generator, churn on plain timers); a one-shard set
+  // must reproduce them bit for bit, the join sequence's order included.
+  const OverlayTopology topology = GenerateTopology(SmallParams(2718, 2000));
+  StripedTrees trees = TreeBuilder::Build(topology, 2, TreePolicy::kBalancedFanout);
+  ChurnStormOptions storm;
+  storm.receiver_count = topology.receiver_count();
+  storm.start = Millis(200);
+  storm.horizon = Millis(800);
+  storm.min_events = 48;
+  storm.max_events = 64;
+  storm.min_away = Millis(20);
+  storm.max_away = Millis(200);
+  storm.permanent_fraction = 0.1;
+  const FaultPlan plan = RandomChurnPlan(31, storm);
+
+  ShardSet set;
+  ShardedOverlayMulticast multicast(&set, &topology, &trees, MulticastParams{}, 404);
+  ShardedOverlayChurnDriver churn(&set, &multicast, plan);
+  multicast.Start(Millis(1200));
+  churn.Start();
+  set.RunUntilQuiescent();
+
+  uint64_t hash = kFnvOffset;
+  for (int r = 0; r < topology.receiver_count(); ++r) {
+    const OverlayReceiverStats& st = multicast.stats(r);
+    for (int64_t v : {st.delivered, st.dropped_queue, st.dropped_loss, st.dropped_late,
+                      st.missed_absent, st.last_delivery}) {
+      hash = FnvMix(hash, static_cast<uint64_t>(v));
+    }
+    for (int t = 0; t < trees.stripes; ++t) {
+      hash = FnvMix(hash, static_cast<uint64_t>(multicast.delivered_on_tree(r, t)));
+    }
+  }
+  for (const OverlayRepairEvent& e : multicast.repair_log()) {
+    hash = FnvMix(hash, static_cast<uint64_t>(e.at));
+    hash = FnvMix(hash, static_cast<uint64_t>(e.tree));
+    hash = FnvMix(hash, static_cast<uint64_t>(e.node));
+    hash = FnvMix(hash, static_cast<uint64_t>(e.new_parent));
+  }
+  std::vector<Duration> joins = multicast.JoinLatencies();
+  for (Duration d : joins) {
+    hash = FnvMix(hash, static_cast<uint64_t>(d));
+  }
+  for (int64_t v : {multicast.emitted(), multicast.repairs(), multicast.churn_skipped(),
+                    churn.departures(), churn.rejoins()}) {
+    hash = FnvMix(hash, static_cast<uint64_t>(v));
+  }
+  EXPECT_EQ(hash, UINT64_C(0xe9b3ef2e23db5913));
+  std::sort(joins.begin(), joins.end());
+  EXPECT_EQ(joins[joins.size() / 2], 14475);
+  EXPECT_EQ(joins[(joins.size() * 99) / 100], 43702);
+}
+
+TEST(OverlayChurnPlan, OutOfRangeReceiverTargetsAreIgnored) {
+  // The plan parser accepts any integer target; the driver must not arm a
+  // Leave that would index the trees out of range.
+  const OverlayTopology topology = GenerateTopology(SmallParams(19, 40));
+  StripedTrees trees = TreeBuilder::Build(topology, 2, TreePolicy::kBalancedFanout);
+  ShardSet set;
+  ShardedOverlayMulticast multicast(&set, &topology, &trees, MulticastParams{}, 1);
+
+  FaultPlan plan;
+  std::string error;
+  const std::string n = std::to_string(topology.receiver_count());
+  ASSERT_TRUE(ParseFaultPlan("@100ms churn recv=-1; @100ms churn recv=" + n + " for=10ms", &plan,
+                             &error))
+      << error;
+  ShardedOverlayChurnDriver churn(&set, &multicast, plan);
+  multicast.Start(Millis(300));
+  churn.Start();
+  set.RunUntilQuiescent();
+
+  EXPECT_EQ(churn.ignored(), 2);
+  EXPECT_EQ(churn.departures(), 0);
+  EXPECT_EQ(churn.rejoins(), 0);
+  EXPECT_EQ(multicast.churn_skipped(), 0);
+  EXPECT_TRUE(multicast.repair_log().empty());
+  for (int r = 0; r < topology.receiver_count(); ++r) {
+    EXPECT_EQ(multicast.stats(r).delivered, multicast.emitted()) << "r=" << r;
+  }
 }
 
 TEST(OverlayFaultDriverSplit, SimulationDriverSkipsReceiverEvents) {

@@ -716,12 +716,14 @@ TEST(ShardedOverlay, RunHashIsThreadAndPartitionInvariant) {
   // A 600-receiver striped overlay under a churn storm: the observable run
   // hash must not depend on the worker-thread count, nor — because loss
   // draws are stateless per copy and every counter is per-receiver — on the
-  // partition itself (1 shard vs 4).
-  TopologyParams params;
-  params.seed = 71;
-  params.receivers = 600;
-  params.fanout = 4;
-  const auto run = [&params](int shards, int threads) {
+  // partition itself (1 shard vs 4).  The second world loses 2 % of the
+  // copies arriving on the suburban tier, which exercises the loss draw and,
+  // across shards, the loss notice charged on the child's shard.
+  struct Outcome {
+    uint64_t hash = 0;
+    int64_t dropped_loss = 0;
+  };
+  const auto run = [](const TopologyParams& params, int shards, int threads) {
     OverlayTopology topology = GenerateTopology(params);
     StripedTrees trees = TreeBuilder::Build(topology, 2, TreePolicy::kBalancedFanout);
     ChurnStormOptions storm;
@@ -744,15 +746,33 @@ TEST(ShardedOverlay, RunHashIsThreadAndPartitionInvariant) {
     set.RunUntilQuiescent();
     EXPECT_GT(multicast.emitted(), 0);
     EXPECT_GT(multicast.repairs(), 0);
-    const uint64_t hash = multicast.RunHash();
+    Outcome outcome;
+    outcome.hash = multicast.RunHash();
+    for (int r = 0; r < params.receivers; ++r) {
+      outcome.dropped_loss += multicast.stats(r).dropped_loss;
+    }
     set.Shutdown();
-    return hash;
+    return outcome;
   };
-  const uint64_t single = run(1, 1);
-  const uint64_t sharded = run(4, 1);
-  const uint64_t threaded = run(4, 4);
-  EXPECT_EQ(single, sharded);
-  EXPECT_EQ(sharded, threaded);
+  TopologyParams lossless;
+  lossless.seed = 71;
+  lossless.receivers = 600;
+  lossless.fanout = 4;
+  TopologyParams lossy = lossless;
+  lossy.classes[1].link.loss_rate = 0.02;
+  for (const TopologyParams& params : {lossless, lossy}) {
+    const bool is_lossy = params.classes[1].link.loss_rate > 0.0;
+    const Outcome single = run(params, 1, 1);
+    const Outcome sharded = run(params, 4, 1);
+    const Outcome threaded = run(params, 4, 4);
+    EXPECT_EQ(single.hash, sharded.hash) << "lossy=" << is_lossy;
+    EXPECT_EQ(sharded.hash, threaded.hash) << "lossy=" << is_lossy;
+    if (is_lossy) {
+      EXPECT_GT(single.dropped_loss, 0);
+    } else {
+      EXPECT_EQ(single.dropped_loss, 0);
+    }
+  }
 }
 
 }  // namespace
