@@ -1,12 +1,11 @@
-// E20: batched-pipeline sweep — what the batched ingress/egress drains
-// (DESIGN.md §15) buy and cost on a real call mesh.
+// E20: end-to-end pipeline cost on a real call mesh.
 //
-// Four audio boxes in a WAN call ring, one circuit per edge, run at
-// max_batch = 1/4/16/64.  Per configuration this reports:
+// Four audio boxes in a WAN call ring, one circuit per edge, every box
+// stage moving one segment per wakeup.  This reports:
 //
 //   sim rate      simulated seconds per wall-clock second — the real price
-//                 of running an experiment; batching exists to raise this
-//   events/sec    wall-clock dispatches + batched-drain credits per second
+//                 of running an experiment
+//   events/sec    wall-clock scheduler dispatches per second
 //   latency max   worst end-to-end audio block latency observed at any
 //                 box's mixer (mixing time minus source timestamp).  The
 //                 max bounds the p99 from above; compare it with the
@@ -14,12 +13,9 @@
 //                 (section 2).
 //
 // Claims gated in CI:
-//   - every max_batch leaves the latency profile and delivery count
-//     IDENTICAL to the legacy max_batch = 1 engine (batch boundaries only
-//     harvest work already parked at the same simulated instant — P7
-//     unharmed; simulated-time results, so every build leg);
-//   - batching never slows the mesh down (plain build: batch = 16 sim-rate
-//     >= 0.9x the legacy engine's, and >= 0.8x BENCH_batch.json).
+//   - the latency max/mean and delivery count equal BENCH_batch.json
+//     exactly (simulated-time results, so every build leg);
+//   - the sim rate stays >= 0.8x BENCH_batch.json (plain build only).
 #include <chrono>
 #include <cstdint>
 #include <string>
@@ -29,26 +25,23 @@
 #include "src/buffer/clawback.h"
 #include "src/core/box.h"
 #include "src/core/simulation.h"
-#include "src/runtime/channel.h"
 #include "src/runtime/time.h"
 
 namespace pandora {
 namespace {
 
-struct BatchScore {
+struct RingScore {
   double sim_rate = 0.0;        // simulated seconds per wall second
-  double events_per_sec = 0.0;  // dispatches + batched credits per wall second
+  double events_per_sec = 0.0;  // dispatches per wall second
   double latency_max_us = 0.0;  // worst e2e audio block latency at any mixer
   double latency_mean_us = 0.0;
   uint64_t delivered = 0;
 };
 
-// One cold world per grid point: 2 simulated seconds of warmup (clawback
-// converges, every pool and slab reaches its high-water mark), then 10
-// measured simulated seconds.  The mixer latency accumulators span the whole
-// run; every configuration carries the identical startup transient, so
-// differences between configurations are pure batching effects.
-BatchScore RunConfig(int max_batch) {
+// One cold world: 2 simulated seconds of warmup (clawback converges, every
+// pool and slab reaches its high-water mark), then 10 measured simulated
+// seconds.  The mixer latency accumulators span the whole run.
+RingScore RunRing() {
   SimulationOptions sim_options;
   sim_options.seed = 29;
   Simulation sim(sim_options);
@@ -62,7 +55,6 @@ BatchScore RunConfig(int max_batch) {
     options.name = "ring" + std::to_string(i);
     options.with_video = false;
     options.clawback = clawback;
-    options.batch.max_batch = max_batch;
     boxes.push_back(&sim.AddBox(options));
   }
   sim.Start();
@@ -79,7 +71,7 @@ BatchScore RunConfig(int max_batch) {
   const auto wall_after = std::chrono::steady_clock::now();
   const uint64_t events = sim.scheduler().events() - events_before;
 
-  BatchScore score;
+  RingScore score;
   const double wall_s = std::chrono::duration<double>(wall_after - wall_before).count();
   score.sim_rate = wall_s > 0 ? 10.0 / wall_s : 0.0;
   score.events_per_sec = wall_s > 0 ? static_cast<double>(events) / wall_s : 0.0;
@@ -99,39 +91,22 @@ BatchScore RunConfig(int max_batch) {
   return score;
 }
 
-void ReportConfig(int max_batch, const BatchScore& score) {
-  const std::string tag = "batch=" + std::to_string(max_batch);
-  BenchRow(tag + " sim rate", score.sim_rate, "sim-s/s");
-  BenchRow(tag + " events/sec", score.events_per_sec, "ev/s");
-  BenchRow(tag + " e2e latency max", score.latency_max_us, "us");
-  BenchRow(tag + " e2e latency mean", score.latency_mean_us, "us");
-  BenchRow(tag + " delivered", static_cast<double>(score.delivered), "seg");
-}
-
 }  // namespace
 }  // namespace pandora
 
 int main(int argc, char** argv) {
   using namespace pandora;
   BenchParseArgs(argc, argv);
-  BenchHeader("E20", "batched pipeline sweep (sim rate, e2e latency by batch budget)",
-              "section 2's 10-20 ms end-to-end audio budget must survive the "
-              "batched drains; section 3.1's cheap dispatch is what they amortize");
+  BenchHeader("E20", "4-box call ring end to end (sim rate, e2e latency)",
+              "section 2's 10-20 ms end-to-end audio budget; section 3.1's cheap "
+              "dispatch is what the sim rate spends");
 
-  const BatchScore legacy = RunConfig(1);
-  ReportConfig(1, legacy);
-  BatchScore batch16;
-  for (int max_batch : {4, 16, 64}) {
-    const BatchScore score = RunConfig(max_batch);
-    ReportConfig(max_batch, score);
-    if (max_batch == 16) {
-      batch16 = score;
-    }
-  }
-
-  BenchRow("batch=16 sim-rate speedup vs legacy",
-           legacy.sim_rate > 0 ? batch16.sim_rate / legacy.sim_rate : 0.0, "x");
-  BenchNote("one cold 4-box ring per batch size; latency spans warmup too, "
-            "identically for every configuration");
+  const RingScore score = RunRing();
+  BenchRow("sim rate", score.sim_rate, "sim-s/s");
+  BenchRow("events/sec", score.events_per_sec, "ev/s");
+  BenchRow("e2e latency max", score.latency_max_us, "us");
+  BenchRow("e2e latency mean", score.latency_mean_us, "us");
+  BenchRow("delivered", static_cast<double>(score.delivered), "seg");
+  BenchNote("one cold 4-box ring; latency spans warmup too");
   return BenchFinish();
 }

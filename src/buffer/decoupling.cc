@@ -81,16 +81,6 @@ Process DecouplingBuffer::CoreProc() {
     if (can_dispatch) {
       alt.OnSkip();
     }
-    // A TryPopBatch steal frees slots without passing through the dispatch
-    // branch, so the deferred TRUE owed after a FALSE reply must also be
-    // sendable from here.  In unbatched operation owe_ready_ implies a full
-    // queue at the top of the loop (dispatch and resize both settle the debt
-    // inline), so this guard never arms and the Alt shape is unchanged.
-    const bool owes_ready = use_ready_channel_ && owe_ready_ && queue_.size() < capacity_;
-    const int owed_guard = owes_ready ? next_guard++ : -1;
-    if (owes_ready) {
-      alt.OnSkip();
-    }
     const bool can_input = queue_.size() < capacity_;
     const int input_guard = can_input ? next_guard++ : -1;
     if (can_input) {
@@ -112,8 +102,6 @@ Process DecouplingBuffer::CoreProc() {
                             static_cast<int64_t>(queue_.size()));
       sender_idle_ = false;
       co_await dispatch_.Send(std::move(item));  // sender is parked: instant
-      co_await MaybeSendDeferredReady();
-    } else if (chosen == owed_guard) {
       co_await MaybeSendDeferredReady();
     } else if (chosen == input_guard) {
       SegmentRef item = co_await input_.Receive();

@@ -24,7 +24,6 @@
 #include <string>
 
 #include "src/buffer/pool.h"
-#include "src/buffer/small_vec.h"
 #include "src/control/command.h"
 #include "src/control/report.h"
 #include "src/runtime/alt.h"
@@ -53,33 +52,6 @@ class DecouplingBuffer {
   Channel<bool>& ready() { return ready_; }
   Channel<SegmentRef>& output() { return output_; }
   CommandChannel& commands() { return command_; }
-
-  // Batched egress steal (DESIGN.md §15): moves up to `max` queued segments
-  // into `out`, FIFO, without the per-segment dispatch/output/idle rendezvous
-  // round-trips.  Only safe for the buffer's single downstream consumer, and
-  // only at a point where no segment is in the internal sender's hand ahead
-  // of the queue — i.e. immediately after receiving from output() (drain
-  // output()'s parked sender first if the caller suspended in between).
-  // CoreProc still owns the ready protocol: it notices the freed slots at
-  // its next guard evaluation and sends any owed deferred TRUE.
-  template <std::size_t N>
-  int TryPopBatch(SmallVec<SegmentRef, N>& out, int max) {
-    int popped = 0;
-    while (popped < max && !queue_.empty()) {
-      out.push_back(std::move(queue_.front()));
-      queue_.pop_front();
-      ++total_out_;
-      ++popped;
-    }
-    if (popped > 0) {
-      PANDORA_TRACE_COUNTER(sched_->trace(), trace_depth_site_, options_name_ + ".depth",
-                            static_cast<int64_t>(queue_.size()));
-      // Each stolen segment replaced at least one full dispatch round-trip
-      // in the one-segment-per-rendezvous engine (see Scheduler::events).
-      sched_->CountBatchedEvents(static_cast<uint64_t>(popped));
-    }
-    return popped;
-  }
 
   // Observability (the numbers a kReportStatus command returns).
   size_t depth() const { return queue_.size(); }

@@ -7,11 +7,8 @@
 // owning object (for an Alt, inside the coroutine frame, which the frame
 // pool already recycles) and only touches the heap past N elements.
 //
-// Since the batched data plane (DESIGN.md §15) drains move-only payloads
-// (SegmentRef, NetRx) into SmallVecs, element types may be any movable
-// type: trivially copyable elements grow by memcpy, everything else by
-// move-construct + destroy.  Batch consumers use pop_front_n to retire a
-// consumed prefix without disturbing the unconsumed tail's order.
+// Element types may be any nothrow-movable type: trivially copyable
+// elements grow by memcpy, everything else by move-construct + destroy.
 #ifndef PANDORA_SRC_BUFFER_SMALL_VEC_H_
 #define PANDORA_SRC_BUFFER_SMALL_VEC_H_
 
@@ -78,29 +75,6 @@ class SmallVec {
   void clear() {
     DestroyAll();
     size_ = 0;
-  }
-
-  // Retires the first `n` elements, sliding the survivors down in order.
-  // Batch producers fill a SmallVec, hand a prefix to a sink (e.g.
-  // Channel::TrySendBatch) and keep the unconsumed tail for the next cycle.
-  void pop_front_n(std::size_t n) {
-    PANDORA_DCHECK(n <= size_);
-    if (n == 0) {
-      return;
-    }
-    T* d = data();
-    if constexpr (std::is_trivially_copyable_v<T>) {
-      std::memmove(static_cast<void*>(d), static_cast<const void*>(d + n),
-                   (size_ - n) * sizeof(T));
-    } else {
-      for (std::size_t i = n; i < size_; ++i) {
-        d[i - n] = std::move(d[i]);
-      }
-      for (std::size_t i = size_ - n; i < size_; ++i) {
-        d[i].~T();
-      }
-    }
-    size_ -= n;
   }
 
  private:

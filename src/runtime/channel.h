@@ -25,7 +25,6 @@
 #ifndef PANDORA_SRC_RUNTIME_CHANNEL_H_
 #define PANDORA_SRC_RUNTIME_CHANNEL_H_
 
-#include <algorithm>
 #include <coroutine>
 #include <cstddef>
 #include <cstdint>
@@ -36,23 +35,12 @@
 #include <vector>
 
 #include "src/buffer/ring_queue.h"
-#include "src/buffer/small_vec.h"
 #include "src/runtime/check.h"
 #include "src/runtime/process.h"
 #include "src/runtime/scheduler.h"
 #include "src/trace/trace.h"
 
 namespace pandora {
-
-// Bounds for a batched drain cycle (DESIGN.md §15).  A drain takes at most
-// `max_batch` elements per wakeup, and only elements already parked at the
-// current simulated instant: zero added simulated delay, a pure wall-clock
-// win.  Every batch boundary is therefore a pure function of simulated
-// state, never of wall-clock interleaving (replay stays bit-exact, shards
-// stay thread-count-invariant).
-struct BatchOptions {
-  int max_batch = 16;
-};
 
 // Something (an Alt) that wants to learn when a channel becomes readable.
 class AltWaiter {
@@ -309,56 +297,6 @@ class Channel : public ChannelBase, public ShutdownParticipant {
     ++transfers_;
     PANDORA_TRACE_RENDEZVOUS_END(sched_->trace(), trace_site_, trace_id);
     return value;
-  }
-
-  // Batched drain (DESIGN.md §15): moves up to `max` already-parked sender
-  // values into `out` (FIFO, appended after any existing contents) and wakes
-  // each sender, without suspending.  Returns the number drained; 0 when no
-  // sender is parked.  Elements beyond the first are counted as batched
-  // events — each replaced a whole dispatch in the one-segment-per-wakeup
-  // engine — so events()/s stays comparable across engines.
-  template <std::size_t N>
-  int TryReceiveBatch(SmallVec<T, N>& out, int max) {
-    int drained = 0;
-    while (drained < max && !senders_.empty()) {
-      ParkedSender& sender = senders_.front();
-      out.push_back(std::move(sender.value));
-      sched_->Ready(sender.ctx);
-      PANDORA_TRACE_RENDEZVOUS_END(sched_->trace(), trace_site_, sender.trace_id);
-      senders_.pop_front();
-      ++transfers_;
-      ++drained;
-    }
-    if (drained > 1) {
-      sched_->CountBatchedEvents(static_cast<uint64_t>(drained - 1));
-    }
-    return drained;
-  }
-
-  // Batched delivery: hands a prefix of `values` to already-parked receivers
-  // (FIFO, at most `max`; max < 0 means all of `values`), waking each,
-  // without suspending.  The consumed prefix is popped from `values`; the
-  // unconsumed tail stays, in order, for the caller's next cycle (typically
-  // a blocking Send per remaining element).  Returns the number delivered.
-  template <std::size_t N>
-  int TrySendBatch(SmallVec<T, N>& values, int max = -1) {
-    const int limit = max < 0 ? static_cast<int>(values.size())
-                              : std::min(max, static_cast<int>(values.size()));
-    int sent = 0;
-    while (sent < limit && !receivers_.empty()) {
-      ParkedReceiver receiver = receivers_.front();
-      receivers_.pop_front();
-      delivered_[receiver.ticket].value.emplace(std::move(values[sent]));
-      ++transfers_;
-      sched_->Ready(receiver.ctx);
-      PANDORA_TRACE_RENDEZVOUS_END(sched_->trace(), trace_site_, receiver.trace_id);
-      ++sent;
-    }
-    values.pop_front_n(static_cast<std::size_t>(sent));
-    if (sent > 1) {
-      sched_->CountBatchedEvents(static_cast<uint64_t>(sent - 1));
-    }
-    return sent;
   }
 
  private:

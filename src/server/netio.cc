@@ -11,15 +11,20 @@ Task<void> SendEncodedSegment(AtmPort* port, SegmentRef ref, const std::vector<V
   PANDORA_CHECK(!vcis.empty(), "wire send with no destination VCI");
   // The ONE serialization on the transmit side.  Wire-pool starvation
   // applies back pressure here, before the box's segment buffer is given
-  // up; the encode reuses the recycled buffer's heap capacity.
-  WireRef wire = co_await port->wire_pool().Allocate();
+  // up; the encode reuses the recycled buffer's heap capacity.  The
+  // free-list fast path skips the allocator coroutine entirely.
+  WireRef wire;
+  if (std::optional<WireRef> fast = port->wire_pool().TryAllocate(); fast.has_value()) {
+    wire = std::move(*fast);
+  } else {
+    wire = co_await port->wire_pool().Allocate();
+  }
   EncodeSegmentInto(*ref, StreamField::kOmitted, &wire->bytes);
   ref.Reset();  // the box buffer recycles as soon as serialization completes
   if (deep_copies != nullptr) {
     ++*deep_copies;
   }
-  // Note: every NetTx is built in a named local (or a heap-stable SmallVec
-  // slot, in SendEncodedBatch below) before the co_await; GCC 12
+  // Note: every NetTx is built in a named local before the co_await; GCC 12
   // miscompiles move-only aggregate temporaries materialized inside
   // co_await argument expressions (the moved-from ref was destroyed as
   // if still live, double-releasing the buffer).
@@ -33,70 +38,6 @@ Task<void> SendEncodedSegment(AtmPort* port, SegmentRef ref, const std::vector<V
   tx.vci = vcis.back();
   tx.wire = std::move(wire);
   co_await port->tx().Send(std::move(tx));
-}
-
-Task<void> SendEncodedBatch(AtmPort* port, SmallVec<SegmentRef, kIoBatchInline>& segments,
-                            StreamTable* table, uint64_t* deep_copies, uint64_t* fanout_sent) {
-  PANDORA_CHECK(!segments.empty(), "wire send with an empty batch");
-  // Allocation burst: take every free wire buffer synchronously; only a
-  // starved pool parks us on the allocator (and then only for the buffers
-  // the burst could not cover).  Wire-pool back pressure thus still lands
-  // here, before any box segment buffer is given up.
-  SmallVec<WireRef, kIoBatchInline> wires;
-  for (size_t i = 0; i < segments.size(); ++i) {
-    std::optional<WireRef> fast = port->wire_pool().TryAllocate();
-    if (fast.has_value()) {
-      wires.push_back(std::move(*fast));
-    } else {
-      wires.push_back(co_await port->wire_pool().Allocate());
-    }
-  }
-  // Encode pass: the ONE serialization per segment, back to back over the
-  // burst; each box buffer recycles the moment its bytes are on the image.
-  SmallVec<StreamId, kIoBatchInline> streams;
-  for (size_t i = 0; i < segments.size(); ++i) {
-    streams.push_back(segments[i]->stream);
-    EncodeSegmentInto(*segments[i], StreamField::kOmitted, &wires[i]->bytes);
-    segments[i].Reset();
-    if (deep_copies != nullptr) {
-      ++*deep_copies;
-    }
-  }
-  segments.clear();
-  // Ship pass: one NetTx per (segment, VCI), fanout sharing each encoded
-  // image by Dup().  The suspension-safety note in SendEncodedSegment
-  // applies here too: each NetTx lives in the SmallVec (heap-stable slots
-  // within one co_await) or a named local, never in a co_await temporary.
-  SmallVec<NetTx, kIoBatchInline> txs;
-  for (size_t i = 0; i < streams.size(); ++i) {
-    const StreamRoute* route = table != nullptr ? table->Find(streams[i]) : nullptr;
-    if (route != nullptr && !route->out_vcis.empty()) {
-      for (size_t v = 0; v + 1 < route->out_vcis.size(); ++v) {
-        txs.push_back(NetTx{route->out_vcis[v], wires[i].Dup()});
-      }
-      txs.push_back(NetTx{route->out_vcis.back(), std::move(wires[i])});
-      if (fanout_sent != nullptr) {
-        *fanout_sent += route->out_vcis.size();
-      }
-    } else {
-      txs.push_back(NetTx{streams[i], std::move(wires[i])});
-      if (fanout_sent != nullptr) {
-        ++*fanout_sent;
-      }
-    }
-  }
-  wires.clear();
-  while (!txs.empty()) {
-    // A parked tx receiver takes what it can without a suspension; the rest
-    // go one at a time through the rendezvous (the interface gate meters
-    // them out in simulated time anyway).
-    if (port->tx().TrySendBatch(txs) > 0) {
-      continue;
-    }
-    NetTx tx = std::move(txs[0]);
-    txs.pop_front_n(1);
-    co_await port->tx().Send(std::move(tx));
-  }
 }
 
 NetworkOutput::NetworkOutput(Scheduler* sched, NetworkOutputOptions options, StreamTable* table,
@@ -166,7 +107,6 @@ Process NetworkOutput::SplitterProc() {
 }
 
 Process NetworkOutput::SenderProc() {
-  SmallVec<SegmentRef, kIoBatchInline> batch;
   for (;;) {
     Alt alt(sched_);
     if (options_.audio_priority) {
@@ -182,30 +122,23 @@ Process NetworkOutput::SenderProc() {
     int chosen = options_.audio_priority ? raw : 1 - raw;
     // Plain if/else rather than `cond ? co_await a : co_await b`: GCC 12
     // generates incorrect temporary cleanups for co_await inside the
-    // conditional operator, double-releasing the move-only result.  The
-    // batched drain below inherits the same rule: every segment rides a
-    // heap-stable SmallVec slot, never a co_await temporary.
-    DecouplingBuffer* source;
+    // conditional operator, double-releasing the move-only result.
     SegmentRef ref;
     if (chosen == 0) {
       ref = co_await audio_buffer_.output().Receive();
-      source = &audio_buffer_;
     } else {
       ref = co_await video_buffer_.output().Receive();
-      source = &video_buffer_;
     }
-    batch.push_back(std::move(ref));
-    if (options_.batch.max_batch > 1) {
-      // FIFO-safe drain of the same class: first the segment (if any) the
-      // buffer's internal sender already holds parked on output(), then a
-      // steal from the queue behind it.  One wire-pool allocation burst
-      // then serves the whole cycle (SendEncodedBatch).
-      int room = options_.batch.max_batch - static_cast<int>(batch.size());
-      room -= source->output().TryReceiveBatch(batch, room);
-      source->TryPopBatch(batch, room);
+    // One segment per wakeup: the Alt above chooses again between audio
+    // and video before the next segment goes on the wire (P2).
+    const StreamRoute* route = table_ != nullptr ? table_->Find(ref->stream) : nullptr;
+    if (route != nullptr && !route->out_vcis.empty()) {
+      vcis_.assign(route->out_vcis.begin(), route->out_vcis.end());
+    } else {
+      vcis_.assign(1, ref->stream);
     }
-    co_await SendEncodedBatch(port_, batch, table_, deep_copies_, &sent_);
-    batch.clear();
+    sent_ += vcis_.size();
+    co_await SendEncodedSegment(port_, std::move(ref), vcis_, deep_copies_);
     if (deep_copies_ != nullptr) {
       PANDORA_TRACE_COUNTER(sched_->trace(), trace_copies_, options_.name + ".deep_copies",
                             static_cast<int64_t>(*deep_copies_));
@@ -214,53 +147,42 @@ Process NetworkOutput::SenderProc() {
 }
 
 Process NetworkInput::Run() {
-  SmallVec<NetRx, kIoBatchInline> batch;
   for (;;) {
-    // Block for the first wire image, then drain whatever else is already
-    // parked on the rx channel (in-flight deliveries pile up there) into
-    // the same wakeup, bounded by the batch budget (DESIGN.md §15).
-    batch.push_back(co_await port_->rx().Receive());
-    if (options_.batch.max_batch > 1) {
-      port_->rx().TryReceiveBatch(batch, options_.batch.max_batch - 1);
+    NetRx in = co_await port_->rx().Receive();
+    // The ONE decode on the whole path (DESIGN.md §9), done BEFORE taking
+    // a buffer so malformed wire images cannot consume this box's pool.
+    DecodeResult decoded = DecodeSegment(in.wire->bytes, StreamField::kOmitted, in.vci);
+    in.wire.Reset();  // encoded bytes go back to the source port's pool
+    if (!decoded.ok) {
+      // Bit corruption or truncation in flight: the self-describing header
+      // let us reject it here.  Count, report, drop — the sequence gap is
+      // absorbed downstream by the clawback buffer.
+      ++decode_failures_;
+      reporter_.Report("netin.decode_failure", ReportSeverity::kWarning, decoded.error,
+                       static_cast<int64_t>(in.vci));
+      PANDORA_TRACE_COUNTER(sched_->trace(), trace_decode_fail_,
+                            options_.name + ".decode_failures",
+                            static_cast<int64_t>(decode_failures_));
+      continue;
     }
-    for (size_t i = 0; i < batch.size(); ++i) {
-      NetRx in = std::move(batch[i]);
-      // The ONE decode on the whole path (DESIGN.md §9), done BEFORE taking
-      // a buffer so malformed wire images cannot consume this box's pool.
-      DecodeResult decoded = DecodeSegment(in.wire->bytes, StreamField::kOmitted, in.vci);
-      in.wire.Reset();  // encoded bytes go back to the source port's pool
-      if (!decoded.ok) {
-        // Bit corruption or truncation in flight: the self-describing header
-        // let us reject it here.  Count, report, drop — the sequence gap is
-        // absorbed downstream by the clawback buffer.
-        ++decode_failures_;
-        reporter_.Report("netin.decode_failure", ReportSeverity::kWarning, decoded.error,
-                         static_cast<int64_t>(in.vci));
-        PANDORA_TRACE_COUNTER(sched_->trace(), trace_decode_fail_,
-                              options_.name + ".decode_failures",
-                              static_cast<int64_t>(decode_failures_));
-        continue;
-      }
-      // Copy into this box's buffer memory ("copy once into memory"); pool
-      // starvation applies back pressure all the way into the network
-      // delivery path.  The free-list fast path skips the allocator
-      // coroutine entirely; only a starved pool parks us.
-      SegmentRef ref;
-      if (std::optional<SegmentRef> fast = pool_->TryAllocate(); fast.has_value()) {
-        ref = std::move(*fast);
-      } else {
-        ref = co_await pool_->Allocate();
-      }
-      *ref = std::move(decoded.segment);
-      ++received_;
-      if (deep_copies_ != nullptr) {
-        ++*deep_copies_;
-        PANDORA_TRACE_COUNTER(sched_->trace(), trace_copies_, options_.name + ".deep_copies",
-                              static_cast<int64_t>(*deep_copies_));
-      }
-      co_await to_switch_->Send(std::move(ref));
+    // Copy into this box's buffer memory ("copy once into memory"); pool
+    // starvation applies back pressure all the way into the network
+    // delivery path.  The free-list fast path skips the allocator
+    // coroutine entirely; only a starved pool parks us.
+    SegmentRef ref;
+    if (std::optional<SegmentRef> fast = pool_->TryAllocate(); fast.has_value()) {
+      ref = std::move(*fast);
+    } else {
+      ref = co_await pool_->Allocate();
     }
-    batch.clear();
+    *ref = std::move(decoded.segment);
+    ++received_;
+    if (deep_copies_ != nullptr) {
+      ++*deep_copies_;
+      PANDORA_TRACE_COUNTER(sched_->trace(), trace_copies_, options_.name + ".deep_copies",
+                            static_cast<int64_t>(*deep_copies_));
+    }
+    co_await to_switch_->Send(std::move(ref));
   }
 }
 

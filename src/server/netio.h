@@ -27,7 +27,6 @@
 #include <string>
 #include <vector>
 
-#include "src/buffer/small_vec.h"
 #include "src/buffer/decoupling.h"
 #include "src/buffer/pool.h"
 #include "src/control/report.h"
@@ -48,31 +47,12 @@ namespace pandora {
 Task<void> SendEncodedSegment(AtmPort* port, SegmentRef ref, const std::vector<Vci>& vcis,
                               uint64_t* deep_copies);
 
-// Inline capacity of the data-plane batch vectors: sized to the default
-// BatchOptions::max_batch so a full burst stays off the heap.
-inline constexpr std::size_t kIoBatchInline = 16;
-
-// Batch form of SendEncodedSegment (DESIGN.md §15): one wire-pool
-// allocation burst covers the whole egress cycle, then one encode pass,
-// then the NetTx fanout ships — batched to any parked tx receiver first,
-// element-at-a-time (time-gated by the interface) for the rest.  Routes are
-// resolved per segment from `table` exactly as the per-element sender does
-// (fallback: the VCI is the stream id); `*fanout_sent` (when non-null)
-// accumulates one count per (segment, VCI) shipped.  Consumes `segments`.
-Task<void> SendEncodedBatch(AtmPort* port, SmallVec<SegmentRef, kIoBatchInline>& segments,
-                            StreamTable* table, uint64_t* deep_copies, uint64_t* fanout_sent);
-
 struct NetworkOutputOptions {
   std::string name = "server.netout";
   size_t audio_buffer_capacity = 64;  // audio rarely queues long
   size_t video_buffer_capacity = 6;   // small: bound the video delay
   // Principle 2 at the interface; false only for ablation studies.
   bool audio_priority = true;
-  // Egress drain budget per sender wakeup (DESIGN.md §15).  max_batch = 1
-  // restores the legacy one-segment-per-Select path bit for bit; the added
-  // delay a batch can impose on a queued peer class is bounded by
-  // max_batch × wire time, which the bench_batch sweep gates against P7.
-  BatchOptions batch;
 };
 
 class NetworkOutput {
@@ -113,6 +93,9 @@ class NetworkOutput {
   ReadySender audio_sender_;
   ReadySender video_sender_;
   uint64_t sent_ = 0;
+  // The current segment's destination VCIs, resolved from the stream table
+  // (fallback: the stream id).  A member so the sender reuses its capacity.
+  std::vector<Vci> vcis_;
   // Per-box deep-copy counter (shared with NetworkInput): each wire encode
   // is one of the box's two sanctioned copies per delivered segment.
   uint64_t* deep_copies_ = nullptr;
@@ -122,10 +105,6 @@ class NetworkOutput {
 
 struct NetworkInputOptions {
   std::string name = "server.netin";
-  // Ingress drain budget per wakeup: after the blocking receive of the
-  // first wire image, up to max_batch - 1 further images already parked on
-  // the port's rx channel decode in the same wakeup (DESIGN.md §15).
-  BatchOptions batch;
 };
 
 class NetworkInput {

@@ -189,7 +189,6 @@ Task<void> Switch::HandleSegment(SegmentRef ref) {
 }
 
 Process Switch::Run() {
-  SmallVec<SegmentRef, 16> batch;
   for (;;) {
     Alt alt(sched_);
     alt.OnReceive(command_);  // P4: commands pre-empt data
@@ -207,23 +206,7 @@ Process Switch::Run() {
       HandleCommand(command);
     } else if (chosen == 1) {
       SegmentRef ref = co_await input_.Receive();
-      if (options_.batch.max_batch > 1) {
-        input_.TryReceiveBatch(batch, options_.batch.max_batch - 1);
-      }
       co_await HandleSegment(std::move(ref));
-      for (size_t i = 0; i < batch.size(); ++i) {
-        // P4 between every two segments of the burst, exactly as the
-        // unbatched loop's Alt gave commands priority per segment.
-        while (command_.InputReady()) {
-          std::optional<Command> command = command_.TryReceive();
-          if (!command.has_value()) {
-            break;
-          }
-          HandleCommand(*command);
-        }
-        co_await HandleSegment(std::move(batch[i]));
-      }
-      batch.clear();
     } else {
       co_await destinations_[static_cast<size_t>(chosen - ready_base)]
           ->sender.ConsumeReadySignal();

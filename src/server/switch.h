@@ -41,13 +41,6 @@ struct SwitchOptions {
   // Per-segment handling cost on the server CPU (header inspect + copy).
   Duration segment_cost = Micros(20);
   AdaptiveDegrader::Options degrade;
-  // Data drain budget per Select (DESIGN.md §15): after the first segment,
-  // up to max_batch - 1 more already-parked senders drain in the same
-  // wakeup.  Commands still pre-empt between every two segments (P4), and
-  // each segment still pays segment_cost on the CPU, so the batch adds no
-  // simulated delay beyond what the unbatched switch already charged.
-  // max_batch = 1 restores the one-segment-per-Select path.
-  BatchOptions batch;
 };
 
 class Switch {

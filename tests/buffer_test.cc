@@ -1,7 +1,9 @@
 // Tests for the buffer subsystem: reference-counted pool, decoupling
-// buffers with the ready-channel protocol, and clawback buffers (paper
-// sections 3.4 and 3.7).
+// buffers with the ready-channel protocol, clawback buffers (paper
+// sections 3.4 and 3.7), and the SmallVec behind Alt's guard list.
+#include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -9,6 +11,7 @@
 #include "src/buffer/clawback.h"
 #include "src/buffer/decoupling.h"
 #include "src/buffer/pool.h"
+#include "src/buffer/small_vec.h"
 #include "src/control/command.h"
 #include "src/control/report.h"
 #include "src/runtime/channel.h"
@@ -30,6 +33,71 @@ AudioBlock MakeBlock(uint8_t fill = 0) {
   AudioBlock block;
   block.samples.fill(fill);
   return block;
+}
+
+// --- SmallVec --------------------------------------------------------------
+
+TEST(SmallVecTest, SpillsFromInlineToHeapPreservingFifoOrder) {
+  SmallVec<int, 4> v;
+  for (int i = 0; i < 4; ++i) {
+    v.push_back(i);  // fills the inline storage exactly
+  }
+  for (int i = 4; i < 11; ++i) {
+    v.push_back(i);  // spills to the heap, then grows again (4 -> 8 -> 16)
+  }
+  ASSERT_EQ(v.size(), 11u);
+  int expected = 0;
+  for (int x : v) {
+    EXPECT_EQ(x, expected++);
+  }
+  v.clear();
+  EXPECT_TRUE(v.empty());
+  for (int i = 0; i < 20; ++i) {
+    v.push_back(100 + i);  // reuse after clear, past the spilled capacity
+  }
+  ASSERT_EQ(v.size(), 20u);
+  for (size_t i = 0; i < v.size(); ++i) {
+    EXPECT_EQ(v[i], 100 + static_cast<int>(i));
+  }
+}
+
+// Counts live instances so a test can see every element destroyed exactly
+// once across spills, clear() and the destructor.
+struct LiveCounted {
+  explicit LiveCounted(int v, int* live) : value(std::make_unique<int>(v)), live(live) {
+    ++*live;
+  }
+  LiveCounted(LiveCounted&& other) noexcept : value(std::move(other.value)), live(other.live) {
+    ++*live;
+  }
+  LiveCounted(const LiveCounted&) = delete;
+  LiveCounted& operator=(const LiveCounted&) = delete;
+  ~LiveCounted() { --*live; }
+  std::unique_ptr<int> value;
+  int* live;
+};
+
+TEST(SmallVecTest, MoveOnlyElementsSurviveSpillAndAreDestroyedOnce) {
+  int live = 0;
+  {
+    SmallVec<LiveCounted, 2> v;
+    for (int i = 0; i < 5; ++i) {
+      v.push_back(LiveCounted(10 + i, &live));  // spills: move-only heap growth path
+    }
+    EXPECT_EQ(live, 5);
+    ASSERT_EQ(v.size(), 5u);
+    for (size_t i = 0; i < v.size(); ++i) {
+      ASSERT_NE(v[i].value, nullptr);
+      EXPECT_EQ(*v[i].value, 10 + static_cast<int>(i));
+    }
+    v.clear();
+    EXPECT_EQ(live, 0);
+    v.push_back(LiveCounted(99, &live));
+    v.push_back(LiveCounted(98, &live));
+    v.push_back(LiveCounted(97, &live));
+    EXPECT_EQ(live, 3);
+  }
+  EXPECT_EQ(live, 0);  // the destructor released the heap-resident tail
 }
 
 // --- BufferPool ------------------------------------------------------------

@@ -1,11 +1,13 @@
 // Property-style sweeps over the degradation ordering and clawback
-// parameters (TEST_P), plus checks of the principles index.
+// parameters (TEST_P), checks of the principles index, and end-to-end P2
+// checks of audio priority at a shared network interface.
 #include <tuple>
 
 #include <gtest/gtest.h>
 
 #include "src/buffer/clawback.h"
 #include "src/core/principles.h"
+#include "src/core/simulation.h"
 #include "src/server/degrade.h"
 
 namespace pandora {
@@ -128,6 +130,66 @@ TEST_P(MultiRateLevelProperty, SteadyIntervalMatchesLevelOverFloor) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Levels, MultiRateLevelProperty, ::testing::Values(5.0, 20.0, 40.0));
+
+// --- P2 end to end: audio keeps the interface when video shares it ----------
+
+// E9's world: audio plus raw 25 fps 320x240 video (about 15 Mbit/s) offered
+// to a 2 Mbit/s uplink.  The splitter must shed video, never audio, and
+// every audio segment must reach the far box.
+TEST(AudioPriority, SqueezedUplinkShedsOnlyVideo) {
+  Simulation sim;
+  PandoraBox::Options options;
+  options.video_width = 320;
+  options.video_height = 240;
+  options.name = "tx";
+  options.network_egress_bps = 2'000'000;
+  PandoraBox& tx = sim.AddBox(options);
+  options.name = "rx";
+  options.network_egress_bps = 20'000'000;
+  PandoraBox& rx = sim.AddBox(options);
+  sim.Start();
+  StreamId audio = sim.SendAudio(tx, rx);
+  sim.SendVideo(tx, rx, Rect{0, 0, 320, 240}, 1, 1, 4);
+  sim.RunFor(Seconds(10));
+
+  EXPECT_EQ(tx.network_output().audio_drops(), 0u);
+  EXPECT_GT(tx.network_output().video_drops(), 0u);
+  const SequenceTracker* tracker = rx.audio_receiver().TrackerFor(audio);
+  ASSERT_NE(tracker, nullptr);
+  EXPECT_GT(tracker->received(), 0u);
+  EXPECT_EQ(tracker->LossFraction(), 0.0);
+}
+
+// E7's world with video cut into 8 strips per frame (about 9.7 KB, 3.9 ms of
+// wire time each): the interface picks audio again after every strip, so a
+// live audio stream's inter-arrival spacing stretches by at most about one
+// strip, well inside the paper's 10-20 ms budget (P7).
+TEST(AudioPriority, SmallVideoStripsBoundAudioJitter) {
+  Simulation sim;
+  PandoraBox::Options options;
+  options.video_width = 320;
+  options.video_height = 240;
+  options.name = "tx";
+  PandoraBox& tx = sim.AddBox(options);
+  options.name = "rx";
+  PandoraBox& rx = sim.AddBox(options);
+  sim.Start();
+  StreamId audio = sim.SendAudio(tx, rx);
+  StreamId at_rx = sim.AllocateStream();
+  rx.server_switch().OpenRoute(at_rx, rx.dest_display(), true, false);
+  sim.network().OpenCircuit(tx.port(), at_rx, rx.port());
+  StreamId local = sim.AllocateStream();
+  tx.server_switch().OpenRoute(local, tx.dest_network(), false, false, at_rx);
+  tx.AddCameraStream(local, Rect{0, 0, 320, 240}, 1, 1, 8, LineCoding::kRawLine);
+  sim.RunFor(Seconds(10));
+
+  const CircuitStats* stats = sim.network().StatsFor(tx.port(), audio);
+  ASSERT_NE(stats, nullptr);
+  ASSERT_GT(stats->inter_arrival.count(), 0u);
+  // Jitter: the widest audio spacing beyond the nominal 4 ms segment period.
+  const double jitter_ms = (stats->inter_arrival.max() - 4000.0) / 1000.0;
+  EXPECT_LE(jitter_ms, 5.0);
+}
 
 TEST(PrinciplesTest, IndexIsComplete) {
   // The enum is documentation, but keep its values pinned to the paper's
