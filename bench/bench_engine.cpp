@@ -156,8 +156,8 @@ struct RendezvousStorm {
 // --- storm 3: spawn/exit churn ----------------------------------------------
 // Mimics the network's per-segment forwarders (src/net/atm.cc): a short
 // coroutine per delivered segment, thousands of times per simulated second.
-// Records recycle into the slab the moment each forwarder finishes — no
-// PruneCompleted housekeeping between batches (it is a no-op shim now).
+// Records recycle into the slab the moment each forwarder finishes, so no
+// housekeeping runs between batches.
 struct SpawnChurnStorm {
   void Setup(Scheduler&) {}
   void Drive(Scheduler& sched, uint64_t iters) {

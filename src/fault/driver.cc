@@ -7,8 +7,7 @@
 
 namespace pandora {
 
-FaultDriver::FaultDriver(Simulation* sim, FaultPlan plan, FaultDriverOptions options)
-    : sim_(sim), plan_(std::move(plan)), options_(std::move(options)) {
+FaultDriver::FaultDriver(Simulation* sim, FaultPlan plan) : sim_(sim), plan_(std::move(plan)) {
   plan_.Normalize();
 }
 
@@ -24,7 +23,9 @@ void FaultDriver::Start() {
   }
   // High priority: an onset scheduled for time T is applied before ordinary
   // traffic processing at T, so the fault's first victim is deterministic.
-  sim_->scheduler().Spawn(Run(), options_.name, Priority::kHigh);
+  // Deliberately NOT under any box's "<name>." prefix, so a box crash's
+  // process-group kill can never take the fault driver with it.
+  sim_->scheduler().Spawn(Run(), "fault.driver", Priority::kHigh);
 }
 
 void FaultDriver::ArmNextGlobal() {

@@ -46,15 +46,9 @@
 
 namespace pandora {
 
-struct FaultDriverOptions {
-  // Deliberately NOT under any box's "<name>." prefix, so a box crash's
-  // process-group kill can never take the fault driver with it.
-  std::string name = "fault.driver";
-};
-
 class FaultDriver {
  public:
-  FaultDriver(Simulation* sim, FaultPlan plan, FaultDriverOptions options = {});
+  FaultDriver(Simulation* sim, FaultPlan plan);
 
   // Spawns the driver process.  Call after Simulation::Start() and after
   // the calls the plan targets have been plumbed (targets are call/box
@@ -107,7 +101,6 @@ class FaultDriver {
 
   Simulation* sim_;
   FaultPlan plan_;
-  FaultDriverOptions options_;
   std::vector<Restore> restores_;  // min-heap on (at, order)
   std::map<std::pair<FaultKind, int>, EpisodeState> episodes_;
   uint64_t next_restore_order_ = 0;

@@ -62,7 +62,7 @@ struct ProcessCtx {
   // recycled while any are outstanding (a killed process can leave its
   // wakeup timer pending).
   int pending_timers = 0;
-  std::exception_ptr error;
+  std::exception_ptr error;  // unhandled exception, until DispatchOne rethrows it
   uint64_t resumptions = 0;  // context switches into this process
   uint64_t generation = 0;   // bumped when the slot is recycled
   // Cached trace site for this process's run-slice track (0 = uninterned).
@@ -159,15 +159,6 @@ class ProcessHandle {
     return stale() ? kRecycled : ctx_->name;
   }
   uint64_t resumptions() const { return stale() ? 0 : ctx_->resumptions; }
-
-  // Rethrows the process's unhandled exception, if any.  Errored processes
-  // are never recycled while the error is unclaimed, so this survives
-  // completion.
-  void CheckError() const {
-    if (ctx_ != nullptr && !stale() && ctx_->error) {
-      std::rethrow_exception(ctx_->error);
-    }
-  }
 
  private:
   friend class Scheduler;

@@ -65,7 +65,7 @@ class SerialResource {
   // Backlog visible right now: how long a new arrival would wait.
   Duration current_queue_delay() const { return std::max<Duration>(0, next_free_ - sched_->now()); }
 
-  // Fraction of time busy since the last ResetStats().
+  // Fraction of time busy since construction.
   double Utilization() const {
     Duration elapsed = sched_->now() - stats_epoch_;
     if (elapsed <= 0) {
@@ -79,13 +79,6 @@ class SerialResource {
   uint64_t acquisitions() const { return acquisitions_; }
   const std::string& name() const { return name_; }
   Scheduler* scheduler() const { return sched_; }
-
-  void ResetStats() {
-    stats_epoch_ = sched_->now();
-    busy_time_ = 0;
-    max_queue_delay_ = 0;
-    acquisitions_ = 0;
-  }
 
  private:
   Scheduler* sched_;

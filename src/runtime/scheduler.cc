@@ -246,7 +246,7 @@ size_t Scheduler::KillProcesses(const std::function<bool(const ProcessCtx&)>& pr
   // timer closure holds the ctx raw); the rest recycle now.
   const size_t killed = victims.size();
   for (ProcessCtx* ctx : victims) {
-    if (ctx->pending_timers == 0 && !ctx->error) {
+    if (ctx->pending_timers == 0) {
       RecycleCtx(ctx);
     }
   }
@@ -263,7 +263,7 @@ void Scheduler::OnWaitTimerFired(ProcessCtx* ctx) {
   if (ctx->done) {
     // Killed while its wakeup was pending: the last outstanding timer
     // releases the slab slot.
-    if (ctx->in_use && ctx->pending_timers == 0 && !ctx->error) {
+    if (ctx->in_use && ctx->pending_timers == 0) {
       RecycleCtx(ctx);
     }
     return;
@@ -313,17 +313,16 @@ bool Scheduler::DispatchOne() {
     ctx->top.destroy();
     ctx->top = nullptr;
     if (ctx->error) {
-      if (rethrow_process_errors_) {
-        std::exception_ptr error = std::exchange(ctx->error, nullptr);
-        if (ctx->pending_timers == 0) {
-          RecycleCtx(ctx);
-        }
-        std::rethrow_exception(error);
+      // An unhandled exception leaves the Run* call that observed it; the
+      // record recycles first, as on a normal exit.
+      std::exception_ptr error = std::exchange(ctx->error, nullptr);
+      if (ctx->pending_timers == 0) {
+        RecycleCtx(ctx);
       }
-      // Error kept for ProcessHandle::CheckError; the slot stays in use.
-    } else if (ctx->pending_timers == 0) {
-      // The common exit: the record returns to the slab immediately, no
-      // manual PruneCompleted required.
+      std::rethrow_exception(error);
+    }
+    if (ctx->pending_timers == 0) {
+      // The common exit: the record returns to the slab immediately.
       RecycleCtx(ctx);
     }
   }

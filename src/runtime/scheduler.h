@@ -143,6 +143,9 @@ class Scheduler {
   }
 
   // --- Running -------------------------------------------------------------
+  //
+  // An unhandled exception escaping a process is rethrown out of the Run*
+  // call that observed it.
 
   // Runs until no process is runnable and no timer is pending.
   void RunUntilQuiescent();
@@ -153,10 +156,6 @@ class Scheduler {
   // clock at the quiescence point advanced to `limit`.
   void RunUntil(Time limit);
   void RunFor(Duration d) { RunUntil(now_ + d); }
-
-  // If true (default), an unhandled exception escaping a process is
-  // re-thrown out of the Run* call that observed it.
-  void set_rethrow_process_errors(bool v) { rethrow_process_errors_ = v; }
 
   // Destroys all live coroutine frames and pending timers.  Call before
   // destroying channels/pools that parked processes may reference; the
@@ -217,14 +216,6 @@ class Scheduler {
     return Awaiter{this};
   }
 
-  // --- Housekeeping ---------------------------------------------------------
-
-  // Completed processes are recycled automatically the moment they finish
-  // (their slab slot returns to the free list), so there is nothing left to
-  // prune.  Kept as a no-op shim for callers written against the manual
-  // sweep; always returns 0.
-  size_t PruneCompleted() { return 0; }
-
   // --- Telemetry -----------------------------------------------------------
 
   // The scheduler-owned trace recorder, bound to this scheduler's simulated
@@ -240,9 +231,9 @@ class Scheduler {
   // report events()/s.
   uint64_t events() const { return context_switches_; }
   size_t live_process_count() const { return live_processes_; }
-  // Process records currently held (live, or completed-with-error awaiting
-  // CheckError, or killed-with-pending-timers).  Recycling keeps this near
-  // the live count instead of growing with every spawn.
+  // Process records currently held (live, or killed or finished with a
+  // wakeup timer still pending).  Recycling keeps this near the live count
+  // instead of growing with every spawn.
   size_t tracked_process_count() const { return in_use_processes_; }
 
  private:
@@ -279,7 +270,6 @@ class Scheduler {
   size_t in_use_processes_ = 0;
   size_t live_processes_ = 0;
   uint64_t context_switches_ = 0;
-  bool rethrow_process_errors_ = true;
   bool shutting_down_ = false;
   std::vector<ShutdownParticipant*> shutdown_participants_;
   std::unique_ptr<TraceRecorder> trace_;

@@ -1,4 +1,4 @@
-// ShardSet: the sharded M:N parallel scheduler (ROADMAP item 1).
+// ShardSet: the sharded M:N parallel scheduler.
 //
 // The paper's Pandora boxes are independent machines on an ATM LAN; the
 // reproduction so far multiplexed every box onto one single-threaded

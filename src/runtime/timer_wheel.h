@@ -1,27 +1,23 @@
 // Hierarchical timing wheel over the simulated microsecond clock.
 //
-// Replaces the scheduler's shared_ptr<Record> priority queue: arming a
-// timer was a make_shared plus a heap percolation, and cancelled timers
-// (every Alt timeout that lost its race) lingered until their deadline
-// popped them.  The wheel gives O(1) insert and O(1) cancel-unlink with
-// nodes drawn from an internal free list, so the steady-state timer path
-// performs no allocation at all.
+// O(1) insert and O(1) cancel-unlink on every level, with nodes drawn from
+// an internal free list, so the steady-state timer path performs no
+// allocation at all and a cancelled timer (every Alt timeout that lost its
+// race) leaves at once instead of lingering until its deadline.
 //
-// Geometry: four levels of 256 slots, 8 bits of deadline per level, which
-// spans 2^32 us (~71 simulated minutes) — comfortably past the workload's
-// 2 ms segment cadence and 8 s clawback horizons.  Deadlines beyond the
-// wheel go to a small overflow binary heap of the same nodes and are
-// compared against wheel candidates at pop time (no eager migration).
+// Geometry: eight levels of 256 slots, 8 bits of deadline per level, so
+// the wheel spans every non-negative `Time` (2^63 us) and every timer lives
+// on it: there is no overflow structure.  Level 0 resolves single
+// microseconds around the cursor; level 7 resolves 2^56-us windows.  Each
+// level costs 4 KB of slot heads, 32 KB in all.
 //
 // A node's level is chosen by the most significant bit in which its
 // deadline differs from the wheel cursor `wnow_` (an XOR prefix match, the
-// scheme of Varghese & Lauck's hierarchical wheels).  This keeps the FIFO
-// guarantee the scheduler needs: within one level-0 slot all nodes share a
-// deadline and are appended in sequence order; a cascade re-places a
-// window's nodes in list order before any new timer can land there, so
-// equal-deadline timers always fire in the order they were armed — wheel
-// and heap alike (a heap node predates, hence out-sequences, any
-// equal-deadline wheel node).
+// scheme of Varghese & Lauck's hierarchical wheels, SOSP 1987).  This keeps
+// the FIFO guarantee the scheduler needs: within one level-0 slot all nodes
+// share a deadline and are appended in arm order; a cascade re-places
+// a window's nodes in list order before any new timer can land there, so
+// equal-deadline timers always fire in the order they were armed.
 //
 // Deadlines already in the past are placed in the cursor slot and fire on
 // the next pop with their original `when` (the scheduler never moves its
@@ -33,7 +29,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <vector>
 
 #include "src/runtime/callback.h"
 #include "src/runtime/time.h"
@@ -45,16 +40,13 @@ namespace pandora {
 // stale TimerHandle over a recycled node is a safe no-op.
 struct TimerNode {
   Time when = 0;
-  uint64_t seq = 0;
   uint64_t generation = 0;
   TimerCallback fire;
   TimerNode* prev = nullptr;
   TimerNode* next = nullptr;
   enum class Where : uint8_t {
-    kFree,           // on the free list
-    kWheel,          // linked into slots_[level][slot]
-    kHeap,           // in the far-future overflow heap
-    kHeapCancelled,  // cancelled but still parked in the heap (lazy removal)
+    kFree,   // on the free list
+    kWheel,  // linked into slots_[level][slot]
   };
   Where where = Where::kFree;
   uint8_t level = 0;
@@ -79,9 +71,7 @@ class TimerWheel {
   // cancellation handle.
   TimerNode* Add(Time when, TimerCallback fire);
 
-  // O(1) for wheel nodes (unlink + recycle).  Heap nodes are marked and
-  // lazily dropped at pop time, with a compaction once cancelled nodes
-  // outnumber live ones.  Stale generations are ignored.
+  // O(1): unlink and recycle.  Stale generations are ignored.
   void Cancel(TimerNode* node, uint64_t generation);
 
   bool IsActive(const TimerNode* node, uint64_t generation) const {
@@ -89,7 +79,7 @@ class TimerWheel {
   }
 
   // Detaches and returns the earliest pending timer with deadline <= limit,
-  // in (when, seq) order; {found=false} if none qualifies.  May advance the
+  // in (when, arm order); {found=false} if none qualifies.  May advance the
   // internal cursor up to `limit` while cascading.
   Due PopDue(Time limit);
 
@@ -98,7 +88,7 @@ class TimerWheel {
 
   // Earliest pending deadline without detaching anything (kNever if empty).
   // The sharded scheduler's conservative-sync loop peeks every shard's
-  // horizon each window, so this must not mutate cursor or heap.  A
+  // horizon each window, so this must not mutate the cursor.  A
   // past-deadline node parked in the cursor slot reports its original
   // `when`; callers clamp against their own clock.
   Time NextDeadline() const;
@@ -106,7 +96,7 @@ class TimerWheel {
   std::size_t pending_count() const { return pending_; }
 
  private:
-  static constexpr int kLevels = 4;
+  static constexpr int kLevels = 8;
   static constexpr int kSlotBits = 8;
   static constexpr int kSlots = 1 << kSlotBits;
   static constexpr Time kSlotMask = kSlots - 1;
@@ -126,22 +116,10 @@ class TimerWheel {
   Time WindowStart(int level, int slot) const;
   void Cascade(int level, int slot);
 
-  static bool HeapLess(const TimerNode* a, const TimerNode* b) {
-    return a->when != b->when ? a->when < b->when : a->seq < b->seq;
-  }
-  void HeapPush(TimerNode* node);
-  TimerNode* HeapPopTop();
-  void HeapSiftDown(std::size_t i);
-  void PruneHeapTop();
-  void CompactHeap();
-
   Time wnow_ = 0;  // wheel cursor: <= every pending deadline and <= the clock
-  uint64_t next_seq_ = 0;
   std::size_t pending_ = 0;
   SlotList slots_[kLevels][kSlots];
   uint64_t occupied_[kLevels][kWordsPerLevel] = {};
-  std::vector<TimerNode*> heap_;  // min-heap on (when, seq)
-  std::size_t heap_cancelled_ = 0;
   // Node storage: deque for stable addresses; the free list makes growth a
   // warmup-only event.
   std::deque<TimerNode> arena_;

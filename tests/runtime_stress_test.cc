@@ -377,11 +377,11 @@ TEST(TimerWheelEdgeTest, EqualDeadlineFifoAcrossCascadeBoundary) {
   }
 }
 
-TEST(TimerWheelEdgeTest, FarFutureTimersFallBackToHeapAndKeepSeqOrder) {
-  // Two hours is beyond the wheel's 2^32-microsecond span, so the first
-  // timer parks on the overflow heap.  A second timer armed much later for
-  // the SAME absolute deadline fits the wheel; the heap node was armed first
-  // (smaller seq) and must win the tie.
+TEST(TimerWheelEdgeTest, FarFutureTimersKeepSeqOrderOnUpperLevels) {
+  // Two hours is past 2^32 microseconds, so the first timer lands on wheel
+  // level 4 or above.  A second timer armed much later for the SAME
+  // absolute deadline lands on a low level; the cascade must bring the
+  // first-armed node down ahead of it so it wins the tie.
   Scheduler sched;
   std::vector<int> fired;
   std::vector<int>* fired_ptr = &fired;
@@ -396,8 +396,91 @@ TEST(TimerWheelEdgeTest, FarFutureTimersFallBackToHeapAndKeepSeqOrder) {
   sched.AddTimer(deadline, [fired_ptr] { fired_ptr->push_back(2); });
   sched.RunFor(Seconds(300));
   ASSERT_EQ(fired.size(), 3u);
-  EXPECT_EQ(fired[1], 1) << "heap-parked timer (armed first) lost the equal-deadline tie";
+  EXPECT_EQ(fired[1], 1) << "upper-level timer (armed first) lost the equal-deadline tie";
   EXPECT_EQ(fired[2], 2);
+  EXPECT_EQ(sched.pending_timer_count(), 0u);
+}
+
+TEST(TimerWheelEdgeTest, TopLevelDeadlinesFireInArmOrder) {
+  // 2^60 us sits on the wheel's top level (bits 56-63), whose window math
+  // has no level above it.  Twins armed at t = 0, at 2^59 (still top level)
+  // and one microsecond before the deadline (level 0, after the cascade)
+  // must fire in arm order, with exact peeks and cancels along the way.
+  Scheduler sched;
+  std::vector<int> fired;
+  std::vector<int>* fired_ptr = &fired;
+  const Time deadline = (Time{1} << 60) + 5;
+  for (int i = 0; i < 3; ++i) {
+    sched.AddTimer(deadline, [fired_ptr, i] { fired_ptr->push_back(i); });
+  }
+  EXPECT_EQ(sched.NextEventTime(), deadline);
+  TimerHandle early =
+      sched.AddTimer(deadline - 3, [fired_ptr] { fired_ptr->push_back(-1); });
+  EXPECT_EQ(sched.NextEventTime(), deadline - 3);
+  EXPECT_EQ(sched.pending_timer_count(), 4u);
+  early.Cancel();
+  EXPECT_EQ(sched.pending_timer_count(), 3u);
+  EXPECT_EQ(sched.NextEventTime(), deadline);
+
+  sched.RunUntil(Time{1} << 59);
+  EXPECT_TRUE(fired.empty());
+  for (int i = 3; i < 5; ++i) {
+    sched.AddTimer(deadline, [fired_ptr, i] { fired_ptr->push_back(i); });
+  }
+  sched.RunUntil(deadline - 1);  // cascades the top-level window down
+  EXPECT_TRUE(fired.empty());
+  EXPECT_EQ(sched.NextEventTime(), deadline);
+  for (int i = 5; i < 8; ++i) {
+    sched.AddTimer(deadline, [fired_ptr, i] { fired_ptr->push_back(i); });
+  }
+  EXPECT_EQ(sched.pending_timer_count(), 8u);
+  sched.RunUntil(deadline);
+  ASSERT_EQ(fired.size(), 8u);
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_EQ(fired[i], i) << "top-level equal-deadline FIFO broken at position " << i;
+  }
+  EXPECT_EQ(sched.pending_timer_count(), 0u);
+
+  // The last representable deadline before kNever fires too.
+  sched.AddTimer(kNever - 1, [fired_ptr] { fired_ptr->push_back(99); });
+  EXPECT_EQ(sched.NextEventTime(), kNever - 1);
+  sched.RunUntilQuiescent();
+  ASSERT_EQ(fired.size(), 9u);
+  EXPECT_EQ(fired[8], 99);
+  EXPECT_EQ(sched.now(), kNever - 1);
+  EXPECT_EQ(sched.pending_timer_count(), 0u);
+}
+
+TEST(TimerWheelEdgeTest, NearTimersAcross2To32BoundaryKeepFifo) {
+  // With the cursor 100 us short of 2^32, a deadline 50 us past 2^32
+  // differs from it in bit 32 and lands on level 4, although it is only
+  // 150 us away.  Twins armed then, after a pacer at 2^32 + 1 cascades
+  // that window down, must still fire in arm order.
+  Scheduler sched;
+  std::vector<int> fired;
+  std::vector<int>* fired_ptr = &fired;
+  const Time boundary = Time{1} << 32;
+  const Time deadline = boundary + 50;
+  sched.AddTimer(boundary - 100, [fired_ptr] { fired_ptr->push_back(-1); });
+  sched.RunUntil(boundary - 100);
+  ASSERT_EQ(fired.size(), 1u);
+  for (int i = 0; i < 4; ++i) {
+    sched.AddTimer(deadline, [fired_ptr, i] { fired_ptr->push_back(i); });
+  }
+  sched.AddTimer(boundary + 1, [fired_ptr] { fired_ptr->push_back(-2); });
+  EXPECT_EQ(sched.NextEventTime(), boundary + 1);
+  sched.RunUntil(boundary + 1);
+  ASSERT_EQ(fired.size(), 2u);
+  EXPECT_EQ(fired[1], -2);
+  EXPECT_EQ(sched.NextEventTime(), deadline);
+  for (int i = 4; i < 8; ++i) {
+    sched.AddTimer(deadline, [fired_ptr, i] { fired_ptr->push_back(i); });
+  }
+  sched.RunUntil(deadline);
+  ASSERT_EQ(fired.size(), 10u);
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_EQ(fired[i + 2], i) << "equal-deadline FIFO broken across 2^32 at position " << i;
+  }
   EXPECT_EQ(sched.pending_timer_count(), 0u);
 }
 
@@ -422,10 +505,10 @@ TEST(TimerWheelEdgeTest, CancelThenRefireViaRecycledNode) {
 
 TEST(TimerWheelEdgeTest, CancellationFloodKeepsPendingCountBounded) {
   // Regression for the old engine, where Cancel only flagged the record and
-  // the heap kept every corpse until its deadline: a hundred thousand
-  // arm/cancel cycles must leave nothing pending, on both the wheel (near
-  // deadlines, O(1) unlink) and the overflow heap (far deadlines, lazy
-  // prune + compaction).
+  // the priority queue kept every corpse until its deadline: a hundred
+  // thousand arm/cancel cycles must leave nothing pending, both for near
+  // deadlines on the low wheel levels and for far ones (past 2^32 us) on
+  // levels 4 and up.  Cancel is an O(1) unlink on every level.
   Scheduler sched;
   int fired = 0;
   int* fired_ptr = &fired;
@@ -439,7 +522,7 @@ TEST(TimerWheelEdgeTest, CancellationFloodKeepsPendingCountBounded) {
     TimerHandle h =
         sched.AddTimer(sched.now() + Seconds(10'000 + i % 50), [fired_ptr] { ++*fired_ptr; });
     h.Cancel();
-    ASSERT_EQ(sched.pending_timer_count(), 0u) << "heap cancel leaked at iteration " << i;
+    ASSERT_EQ(sched.pending_timer_count(), 0u) << "far cancel leaked at iteration " << i;
   }
   sched.RunFor(Seconds(20'000));
   EXPECT_EQ(fired, 0);

@@ -616,15 +616,13 @@ TEST(SchedulerTest, CompletedProcessesRecycleAutomatically) {
   }
   sched.RunUntilQuiescent();
   // Slab recycling releases bookkeeping the moment a process finishes: no
-  // manual sweep, nothing left tracked, and the shim has nothing to do.
+  // manual sweep and nothing left tracked.
   EXPECT_EQ(sched.live_process_count(), 0u);
   EXPECT_EQ(sched.tracked_process_count(), 0u);
-  EXPECT_EQ(sched.PruneCompleted(), 0u);
   // Handles over recycled slots stay safe: they read done, not the slot's
   // next occupant.
   for (const ProcessHandle& h : handles) {
     EXPECT_TRUE(h.done());
-    EXPECT_NO_THROW(h.CheckError());
   }
   // The scheduler keeps working, reusing the recycled records.
   int ran = 0;
