@@ -44,7 +44,7 @@ struct AudioMixerOptions {
   double clock_drift = 0.0;
   bool jitter_correction = true;  // charge clawback CPU per stream
   MixRecovery recovery = MixRecovery::kReplayLast;
-  AudioCpuCosts costs;
+  AudioCpuCosts costs{};
 };
 
 class AudioMixer {

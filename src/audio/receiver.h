@@ -24,7 +24,7 @@ namespace pandora {
 
 struct AudioReceiverOptions {
   std::string name = "audio.receiver";
-  AudioCpuCosts costs;
+  AudioCpuCosts costs{};
 };
 
 class AudioReceiver {

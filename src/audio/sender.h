@@ -34,7 +34,7 @@ struct AudioSenderOptions {
   StreamId stream = kInvalidStream;
   int blocks_per_segment = kDefaultBlocksPerSegment;
   bool start_immediately = true;  // else wait for kStartStream
-  AudioCpuCosts costs;
+  AudioCpuCosts costs{};
 };
 
 class AudioSender {

@@ -34,15 +34,11 @@ enum class CommandVerb {
   kCloseRoute,    // arg0 = destination port id; removes a destination (P6)
   kMoveRoute,     // arg0 = old destination, arg1 = new; atomic re-parent
                   // (overlay tree repair: no route-less window, P6)
-  kSetStreamAge,  // arg0 = open order stamp (for principle 3 accounting)
 
   // Sources:
   kStartStream,    // begin producing data
   kSetBlocksPerSegment,  // arg0 = audio blocks per outgoing segment (1..12)
   kSetFrameRate,   // arg0/arg1 = frame rate fraction of 25Hz
-
-  // Audio output:
-  kSetMuting,      // arg0 = enable, arg1 = threshold
 };
 
 struct Command {

@@ -1,21 +1,18 @@
 // FaultDriver: applies a FaultPlan from inside the scheduler.
 //
-// The driver is one more cooperative process on the simulated timeline — it
-// waits (in simulated time) for each event's onset, applies it through the
-// sanctioned mutators (AtmNetwork's fault hooks, Simulation's
+// Every step of the driver is a ShardSet::PostGlobal stop-the-world
+// callback at the next due instant: every worker parked and every shard
+// clock at that microsecond, so a step may crash a box or close circuits on
+// whichever shards they live.  On a one-shard world PostGlobal is a plain
+// shard-0 timer.  A step applies every restore and then every onset due now
+// through the sanctioned mutators (AtmNetwork's fault hooks, Simulation's
 // CrashBox/RestartBox, PandoraBox::SetAudioClockDrift, BufferPool's
-// pressure injection) and, for episodic faults, snapshots the prior state
-// and schedules its own restore.  It draws no randomness: given the same
-// plan against the same topology, every apply and restore lands on the same
-// microsecond, so chaos runs replay bit-identically.
-//
-// In a shard-spanning Simulation the driver cannot live as a process on any
-// one shard: a crash kills processes and closes circuits on whatever shards
-// the victim's calls touch.  There it runs each step as a
-// ShardSet::PostGlobal stop-the-world callback on the coordinator — every
-// worker parked at the event's exact microsecond — which keeps the same
-// apply/restore ordering and the same bit-exact replay guarantee,
-// independent of the worker-thread count.
+// pressure injection), snapshotting the prior state of episodic faults and
+// heaping their restores, then arms the next step.  A driver started after
+// an event's time applies it at the start instant.  It spawns no process
+// and draws no randomness: given the same plan against the same topology,
+// every apply and restore lands on the same microsecond, so chaos runs
+// replay bit-identically, independent of the worker-thread count.
 //
 // Events whose target no longer makes sense when their onset arrives — the
 // call was hung up, its circuit is already closed, the box is already down
@@ -50,9 +47,10 @@ class FaultDriver {
  public:
   FaultDriver(Simulation* sim, FaultPlan plan);
 
-  // Spawns the driver process.  Call after Simulation::Start() and after
-  // the calls the plan targets have been plumbed (targets are call/box
-  // indices into the Simulation's registries).
+  // Arms the first step (or, for an empty plan, goes quiescent at once).
+  // Call after Simulation::Start() and after the calls the plan targets
+  // have been plumbed (targets are call/box indices into the Simulation's
+  // registries).
   void Start();
 
   const FaultPlan& plan() const { return plan_; }
@@ -84,10 +82,8 @@ class FaultDriver {
     double base_value = 0;   // clock steps: drift before the first episode
   };
 
-  Process Run();
-  // Stop-the-world path (shard-spanning worlds): each step applies every
-  // restore and onset due at the coordinator's current instant, then arms
-  // the next PostGlobal for the next due time.
+  // Each step applies every restore and onset due at the current instant,
+  // then arms the next PostGlobal at max(next due time, now).
   void ArmNextGlobal();
   void StepGlobal();
   void Apply(const FaultEvent& event);
@@ -104,7 +100,7 @@ class FaultDriver {
   std::vector<Restore> restores_;  // min-heap on (at, order)
   std::map<std::pair<FaultKind, int>, EpisodeState> episodes_;
   uint64_t next_restore_order_ = 0;
-  size_t next_event_ = 0;  // cursor into plan_.events (stop-the-world path)
+  size_t next_event_ = 0;  // cursor into plan_.events
   size_t applied_ = 0;
   size_t skipped_ = 0;
   size_t restored_ = 0;

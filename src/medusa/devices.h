@@ -117,7 +117,7 @@ class NetSpeaker : public MedusaDevice {
     std::string name = "medusa.speaker";
     double clock_drift = 0.0;
     bool record_samples = false;
-    ClawbackConfig clawback;
+    ClawbackConfig clawback{};
   };
 
   NetSpeaker(Scheduler* sched, AtmNetwork* net, Options options,

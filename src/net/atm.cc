@@ -228,13 +228,42 @@ bool AtmNetwork::CorruptInFlight(WireRef& wire, Rng& rng, Circuit* circuit, int 
   return true;
 }
 
+AtmNetwork::Stage AtmNetwork::StageAt(Circuit* circuit, size_t i, int shard) {
+  if (circuit->path.empty()) {
+    return {&circuit->direct, &RngFor(shard), nullptr};
+  }
+  NetHop* hop = circuit->path[i];
+  return {&hop->quality, &hop->rng, hop};
+}
+
+void AtmNetwork::CountLost(Circuit* circuit, Scheduler* sched, int shard, int64_t seq,
+                           size_t bytes) {
+  ++circuit->stats.lost;
+  ++total_lost_[static_cast<size_t>(shard)];
+  PANDORA_TRACE_INSTANT2(sched->trace(), circuit->trace_loss, circuit->trace_name + ".loss",
+                         "seq", seq, "bytes", static_cast<int64_t>(bytes));
+}
+
+void AtmNetwork::CountDelivered(Circuit* circuit, Scheduler* sched, int shard, Time departed,
+                                Time at) {
+  ++circuit->stats.delivered;
+  ++total_delivered_[static_cast<size_t>(shard)];
+  circuit->stats.latency.Add(static_cast<double>(at - departed));
+  // Per-(stream, network-hop) transit latency, keyed by the destination VCI.
+  PANDORA_TRACE_HISTOGRAM(sched->trace(), circuit->trace_hist, circuit->trace_name + ".latency",
+                          "us", at - departed);
+  if (circuit->last_rx_time >= 0) {
+    circuit->stats.inter_arrival.Add(static_cast<double>(at - circuit->last_rx_time));
+  }
+  circuit->last_rx_time = at;
+}
+
 Process AtmNetwork::ForwardProc(AtmPort* src, Vci vci, WireRef wire) {
   // Everything below runs on the SOURCE port's shard: its scheduler, its
   // slice of the counters, its rng (shard 0's is the legacy stream).  The
   // destination only becomes involved at the fabric exit.
   Scheduler* sched = src->sched_;
   const int shard = src->shard_;
-  Rng& rng = RngFor(shard);
   const Time departed = sched->now();
   const size_t bytes = wire->bytes.size();
   // One cheap header peek for telemetry — which sequence number a loss or
@@ -258,10 +287,7 @@ Process AtmNetwork::ForwardProc(AtmPort* src, Vci vci, WireRef wire) {
 
   // An administratively-down circuit loses everything offered to it.
   if (!circuit->up) {
-    ++circuit->stats.lost;
-    ++total_lost_[static_cast<size_t>(shard)];
-    PANDORA_TRACE_INSTANT2(sched->trace(), circuit->trace_loss, circuit->trace_name + ".loss",
-                           "seq", seq, "bytes", static_cast<int64_t>(bytes));
+    CountLost(circuit, sched, shard, seq, bytes);
     co_return;
   }
 
@@ -271,81 +297,31 @@ Process AtmNetwork::ForwardProc(AtmPort* src, Vci vci, WireRef wire) {
   // circuits are order-preserving, and jitter is queueing, which is FIFO.
   // ForwardProcs start in send order (spawned FIFO by the port), so each
   // stage's bookkeeping executes in send order too.
-  if (circuit->path.empty()) {
-    if (rng.Bernoulli(circuit->direct.loss_rate)) {
-      ++circuit->stats.lost;
-      ++total_lost_[static_cast<size_t>(shard)];
-      PANDORA_TRACE_INSTANT2(sched->trace(), circuit->trace_loss,
-                             circuit->trace_name + ".loss", "seq", seq, "bytes",
-                             static_cast<int64_t>(bytes));
+  for (size_t i = 0; i < circuit->stage_last_exit.size(); ++i) {
+    Stage stage = StageAt(circuit, i, shard);
+    if (stage.rng->Bernoulli(stage.quality->loss_rate) ||
+        (stage.hop != nullptr &&
+         stage.hop->gate.current_queue_delay() > stage.quality->max_queue)) {
+      CountLost(circuit, sched, shard, seq, bytes);
       co_return;
     }
     // Bit corruption (line noise): the damaged copy still travels and is
     // delivered for the destination decoder to reject.  The rate check
-    // short-circuits so healthy circuits draw nothing (determinism).
-    if (circuit->direct.corrupt_rate > 0 && rng.Bernoulli(circuit->direct.corrupt_rate)) {
-      if (!CorruptInFlight(wire, rng, circuit, shard)) {
-        ++circuit->stats.lost;
-        ++total_lost_[static_cast<size_t>(shard)];
-        PANDORA_TRACE_INSTANT2(sched->trace(), circuit->trace_loss,
-                               circuit->trace_name + ".loss", "seq", seq, "bytes",
-                               static_cast<int64_t>(bytes));
+    // short-circuits so healthy stages draw nothing (determinism).
+    if (stage.quality->corrupt_rate > 0 && stage.rng->Bernoulli(stage.quality->corrupt_rate)) {
+      if (!CorruptInFlight(wire, *stage.rng, circuit, shard)) {
+        CountLost(circuit, sched, shard, seq, bytes);
         co_return;
       }
       PANDORA_TRACE_INSTANT2(sched->trace(), circuit->trace_corrupt,
                              circuit->trace_name + ".corrupt", "seq", seq, "bytes",
                              static_cast<int64_t>(bytes));
     }
-    Duration jitter = circuit->direct.jitter_max > 0
-                          ? static_cast<Duration>(rng.Uniform(
-                                0.0, static_cast<double>(circuit->direct.jitter_max)))
-                          : 0;
-    Time exit_at =
-        std::max(sched->now() + circuit->direct.propagation + jitter,
-                 circuit->stage_last_exit[0] + 1);
-    circuit->stage_last_exit[0] = exit_at;
-    if (circuit->dst->shard_ != shard) {
-      // Cross-shard fabric exit: no final wait here — the delivery time
-      // rides the mailbox instead (exit_at clears the lookahead contract
-      // because OpenCircuit pinned propagation >= lookahead).
-      DeliverCrossShard(circuit, src, vci, exit_at, seq, bytes, std::move(wire), departed);
-      co_return;
-    }
-    co_await sched->WaitUntil(exit_at);
-    circuit = FindCircuit(src, vci);
-    if (circuit == nullptr || circuit->generation != generation) {
-      ++total_lost_[static_cast<size_t>(shard)];  // closed (or re-opened) while in flight
-      co_return;
-    }
-  } else {
-    for (size_t i = 0; i < circuit->path.size(); ++i) {
-      NetHop* hop = circuit->path[i];
-      if (hop->rng.Bernoulli(hop->quality.loss_rate) ||
-          hop->gate.current_queue_delay() > hop->quality.max_queue) {
-        ++circuit->stats.lost;
-        ++total_lost_[static_cast<size_t>(shard)];
-        PANDORA_TRACE_INSTANT2(sched->trace(), circuit->trace_loss,
-                               circuit->trace_name + ".loss", "seq", seq, "bytes",
-                               static_cast<int64_t>(bytes));
-        co_return;
-      }
-      if (hop->quality.corrupt_rate > 0 && hop->rng.Bernoulli(hop->quality.corrupt_rate)) {
-        if (!CorruptInFlight(wire, hop->rng, circuit, shard)) {
-          ++circuit->stats.lost;
-          ++total_lost_[static_cast<size_t>(shard)];
-          PANDORA_TRACE_INSTANT2(sched->trace(), circuit->trace_loss,
-                                 circuit->trace_name + ".loss", "seq", seq, "bytes",
-                                 static_cast<int64_t>(bytes));
-          co_return;
-        }
-        PANDORA_TRACE_INSTANT2(sched->trace(), circuit->trace_corrupt,
-                               circuit->trace_name + ".corrupt", "seq", seq, "bytes",
-                               static_cast<int64_t>(bytes));
-      }
+    if (stage.hop != nullptr) {
       // The gate serializes whole segments FIFO across every circuit
       // sharing the hop (contention); reservations are made in program
       // order, which per circuit is send order by induction.
-      co_await hop->gate.Transmit(bytes);
+      co_await stage.hop->gate.Transmit(bytes);
       bytes_on_wire_[static_cast<size_t>(shard)] += bytes;
       PANDORA_TRACE_COUNTER(sched->trace(), trace_wire_bytes_[static_cast<size_t>(shard)],
                             "net.bytes_on_wire",
@@ -355,30 +331,30 @@ Process AtmNetwork::ForwardProc(AtmPort* src, Vci vci, WireRef wire) {
         ++total_lost_[static_cast<size_t>(shard)];  // closed (or re-opened) while in flight
         co_return;
       }
-      // Re-borrow the hop from the re-fetched circuit: the bridged path is
-      // immutable after OpenCircuit, so this is the same pointer today, but
-      // it keeps every pointer read downstream of a suspension fresh.
-      hop = circuit->path[i];
-      Duration jitter = hop->quality.jitter_max > 0
-                            ? static_cast<Duration>(hop->rng.Uniform(
-                                  0.0, static_cast<double>(hop->quality.jitter_max)))
-                            : 0;
-      Time exit_at = std::max(sched->now() + hop->quality.propagation + jitter,
-                              circuit->stage_last_exit[i] + 1);
-      circuit->stage_last_exit[i] = exit_at;
-      if (i + 1 == circuit->path.size() && circuit->dst->shard_ != shard) {
-        // Last hop of a cross-shard bridged path: the exit posts into the
-        // destination shard instead of waiting here (the hop's propagation
-        // is the lookahead floor, pinned at OpenCircuit).
-        DeliverCrossShard(circuit, src, vci, exit_at, seq, bytes, std::move(wire), departed);
-        co_return;
-      }
-      co_await sched->WaitUntil(exit_at);
-      circuit = FindCircuit(src, vci);
-      if (circuit == nullptr || circuit->generation != generation) {
-        ++total_lost_[static_cast<size_t>(shard)];
-        co_return;
-      }
+      // Re-borrow the stage from the re-fetched circuit: the bridged path is
+      // immutable after OpenCircuit, so this is the same hop today, but the
+      // jitter below must read the quality as it stands after the wait.
+      stage = StageAt(circuit, i, shard);
+    }
+    const Duration jitter = stage.quality->jitter_max > 0
+                                ? static_cast<Duration>(stage.rng->Uniform(
+                                      0.0, static_cast<double>(stage.quality->jitter_max)))
+                                : 0;
+    const Time exit_at = std::max(sched->now() + stage.quality->propagation + jitter,
+                                  circuit->stage_last_exit[i] + 1);
+    circuit->stage_last_exit[i] = exit_at;
+    if (i + 1 == circuit->stage_last_exit.size() && circuit->dst->shard_ != shard) {
+      // Cross-shard fabric exit: no final wait here — the delivery time
+      // rides the mailbox instead (exit_at clears the lookahead contract
+      // because OpenCircuit pinned the final propagation >= lookahead).
+      DeliverCrossShard(circuit, src, vci, exit_at, seq, bytes, std::move(wire), departed);
+      co_return;
+    }
+    co_await sched->WaitUntil(exit_at);
+    circuit = FindCircuit(src, vci);
+    if (circuit == nullptr || circuit->generation != generation) {
+      ++total_lost_[static_cast<size_t>(shard)];  // closed (or re-opened) while in flight
+      co_return;
     }
   }
 
@@ -388,22 +364,10 @@ Process AtmNetwork::ForwardProc(AtmPort* src, Vci vci, WireRef wire) {
   // unreceived rx channel).
   if (!circuit->dst->up_) {
     ++circuit->dst->rx_discarded_;
-    ++circuit->stats.lost;
-    ++total_lost_[static_cast<size_t>(shard)];
-    PANDORA_TRACE_INSTANT2(sched->trace(), circuit->trace_loss, circuit->trace_name + ".loss",
-                           "seq", seq, "bytes", static_cast<int64_t>(bytes));
+    CountLost(circuit, sched, shard, seq, bytes);
     co_return;
   }
-  ++circuit->stats.delivered;
-  ++total_delivered_[static_cast<size_t>(shard)];
-  circuit->stats.latency.Add(static_cast<double>(sched->now() - departed));
-  // Per-(stream, network-hop) transit latency, keyed by the destination VCI.
-  PANDORA_TRACE_HISTOGRAM(sched->trace(), circuit->trace_hist,
-                          circuit->trace_name + ".latency", "us", sched->now() - departed);
-  if (circuit->last_rx_time >= 0) {
-    circuit->stats.inter_arrival.Add(static_cast<double>(sched->now() - circuit->last_rx_time));
-  }
-  circuit->last_rx_time = sched->now();
+  CountDelivered(circuit, sched, shard, departed, sched->now());
   NetRx delivery;
   delivery.vci = vci;
   delivery.wire = std::move(wire);
@@ -416,29 +380,19 @@ void AtmNetwork::DeliverCrossShard(Circuit* circuit, AtmPort* src, Vci vci, Time
   AtmPort* dst = circuit->dst;
   // The destination link state only changes at stop-the-world instants
   // (SetPortUp is control-plane), so this read is stable for the whole
-  // window.  A port that is down NOW loses the segment at the exit, exactly
-  // like the same-shard tail; a port that goes down between this post and
-  // the arrival window is handled again in ArriveTransfer (that corner
-  // counts as a delivery here and a discard there — documented in §14).
+  // window.  A port that is down NOW loses the segment at the exit, like
+  // the same-shard tail — except that its rx_discarded_ belongs to the
+  // destination shard and is not touched here.  A port that goes down
+  // between this post and the arrival window is handled again in
+  // ArriveTransfer (that corner counts as a delivery here and a discard
+  // there — documented in §14).
   if (!dst->up_) {
-    ++circuit->stats.lost;
-    ++total_lost_[static_cast<size_t>(shard)];
-    PANDORA_TRACE_INSTANT2(src->sched_->trace(), circuit->trace_loss,
-                           circuit->trace_name + ".loss", "seq", seq, "bytes",
-                           static_cast<int64_t>(bytes));
+    CountLost(circuit, src->sched_, shard, seq, bytes);
     return;
   }
   // Fabric-exit accounting on the source shard, which owns the circuit: the
   // delivery instant is exit_at by construction (the posted timer fires then).
-  ++circuit->stats.delivered;
-  ++total_delivered_[static_cast<size_t>(shard)];
-  circuit->stats.latency.Add(static_cast<double>(exit_at - departed));
-  PANDORA_TRACE_HISTOGRAM(src->sched_->trace(), circuit->trace_hist,
-                          circuit->trace_name + ".latency", "us", exit_at - departed);
-  if (circuit->last_rx_time >= 0) {
-    circuit->stats.inter_arrival.Add(static_cast<double>(exit_at - circuit->last_rx_time));
-  }
-  circuit->last_rx_time = exit_at;
+  CountDelivered(circuit, src->sched_, shard, departed, exit_at);
 
   // Copy the encoded bytes into a transfer record: WireRef refcounts are
   // shard-local, so the handle itself must not cross the boundary.  Records

@@ -274,8 +274,29 @@ class AtmNetwork : public ShardBarrierTask {
   // re-opened for a new call — with the segment counted as lost if the
   // original circuit is gone.  The wire handle is MOVED stage to stage; the
   // encoded bytes are never copied (except copy-on-corrupt below).
+  // Every circuit is walked by one stage loop; see Stage.
   Process ForwardProc(AtmPort* src, Vci vci, WireRef wire);
   Circuit* FindCircuit(AtmPort* src, Vci vci);
+
+  // One store-and-forward stage of a circuit.  A bridged circuit has one
+  // stage per hop: the hop's quality and rng, plus its gate, its queue bound
+  // and a bytes_on_wire charge.  A direct circuit is a single stage: the
+  // circuit's `direct` quality, the source shard's rng, and no hop (so no
+  // gate, no queue bound).  Borrowed from the circuit: re-fetch after every
+  // suspension.
+  struct Stage {
+    const HopQuality* quality;
+    Rng* rng;
+    NetHop* hop;  // null for the direct stage
+  };
+  Stage StageAt(Circuit* circuit, size_t i, int shard);
+
+  // Loss and fabric-exit delivery accounting, on the source shard that owns
+  // the circuit.  CountLost also records the circuit's `.loss` instant;
+  // CountDelivered takes the delivery instant `at` (now for a same-shard
+  // exit, the posted exit time for a cross-shard one).
+  void CountLost(Circuit* circuit, Scheduler* sched, int shard, int64_t seq, size_t bytes);
+  void CountDelivered(Circuit* circuit, Scheduler* sched, int shard, Time departed, Time at);
 
   // Applies a corrupt_rate strike: replaces `wire` with a damaged COPY so
   // sibling handles of the same buffer (multi-destination fanout) keep the

@@ -118,24 +118,26 @@ void ShardedOverlayMulticast::CountDrop(int child, int kind) {
   }
 }
 
+void ShardedOverlayMulticast::Drop(int ps, int cs, int child, int kind, Time arrival) {
+  if (cs == ps) {
+    CountDrop(child, kind);
+    return;
+  }
+  // Across shards the drop is charged when the copy would have arrived,
+  // keeping every per-receiver counter single-writer.
+  ShardedOverlayMulticast* self = this;
+  shards_->Post(ps, cs, arrival,
+                TimerCallback([self, child, kind] { self->CountDrop(child, kind); }));
+}
+
 void ShardedOverlayMulticast::RelayTo(int tree, int parent, int child, int64_t seq) {
   const int ps = parent == kOverlaySource ? 0 : shard_of(parent);
   const int cs = shard_of(child);
-  Scheduler* sched = scheds_[static_cast<size_t>(ps)];
-  const Time now = sched->now();
+  const Time now = scheds_[static_cast<size_t>(ps)]->now();
   const OverlayLink& link = topology_->links[static_cast<size_t>(child)];
-  ShardedOverlayMulticast* self = this;
   if (trees_->absent(child)) {
-    // Detached between arming and relay.  The miss belongs to the child's
-    // counters; across shards it is charged when the copy would have
-    // arrived, keeping every stat single-writer.
-    if (cs == ps) {
-      ++stats_[static_cast<size_t>(child)].missed_absent;
-    } else {
-      const int kind = kDropAbsent;
-      shards_->Post(ps, cs, now + link.latency,
-                    TimerCallback([self, child, kind] { self->CountDrop(child, kind); }));
-    }
+    // Detached between arming and relay.
+    Drop(ps, cs, child, kDropAbsent, now + link.latency);
     return;
   }
   Time depart = now;
@@ -146,36 +148,21 @@ void ShardedOverlayMulticast::RelayTo(int tree, int parent, int child, int64_t s
     const Duration service = lane_service_[static_cast<size_t>(parent)];
     const Time start = std::max(busy, now);
     if (start - now > params_.queue_budget * service) {
-      if (cs == ps) {
-        ++stats_[static_cast<size_t>(child)].dropped_queue;
-      } else {
-        const int kind = kDropQueue;
-        shards_->Post(ps, cs, now + link.latency,
-                      TimerCallback([self, child, kind] { self->CountDrop(child, kind); }));
-      }
+      Drop(ps, cs, child, kDropQueue, now + link.latency);
       return;
     }
     busy = start + service;
     depart = busy;
   }
   if (LossDraw(tree, child, seq, link.loss_rate)) {
-    if (cs == ps) {
-      ++stats_[static_cast<size_t>(child)].dropped_loss;
-    } else {
-      const int kind = kDropLoss;
-      shards_->Post(ps, cs, depart + link.latency,
-                    TimerCallback([self, child, kind] { self->CountDrop(child, kind); }));
-    }
+    Drop(ps, cs, child, kDropLoss, depart + link.latency);
     return;
   }
-  const int node = child;
-  if (cs == ps) {
-    sched->AddTimer(depart + link.latency,
-                    TimerCallback([self, tree, node, seq] { self->Deliver(tree, node, seq); }));
-  } else {
-    shards_->Post(ps, cs, depart + link.latency,
-                  TimerCallback([self, tree, node, seq] { self->Deliver(tree, node, seq); }));
-  }
+  // Same-shard, Post arms a plain timer on this shard; across shards the
+  // copy rides the mailbox.
+  ShardedOverlayMulticast* self = this;
+  shards_->Post(ps, cs, depart + link.latency,
+                TimerCallback([self, tree, child, seq] { self->Deliver(tree, child, seq); }));
 }
 
 void ShardedOverlayMulticast::Deliver(int tree, int node, int64_t seq) {

@@ -24,15 +24,17 @@
 //  * A relay executes on the PARENT's shard (the paper's switch duplicates
 //    copies where the stream is): lane serialization and the queue-budget
 //    drop decision read and write only parent-owned state.
-//  * A delivery executes on the CHILD's shard.  Same-shard hops arm a plain
-//    timer; cross-shard hops ride the ShardSet mailbox at depart + access
-//    latency, which satisfies the lookahead contract because every access
-//    link's latency is >= the set's lookahead (checked at construction —
-//    the overlay's link latencies ARE the conservative-sync slack).
+//  * A delivery executes on the CHILD's shard.  Every hop is armed through
+//    ShardSet::Post at depart + access latency: a same-shard Post is a plain
+//    timer, and a cross-shard one rides the mailbox, which satisfies the
+//    lookahead contract because every access link's latency is >= the
+//    set's lookahead (checked at construction — the overlay's link
+//    latencies ARE the conservative-sync slack).
 //  * Drop accounting belongs to the child.  A parent-side drop (queue shed,
-//    link loss, absent child) on a cross-shard edge posts a notice that
-//    charges the child's counters on the child's own shard, so every
-//    per-receiver counter keeps a single writer.
+//    link loss, absent child) is counted in place on a same-shard edge; on
+//    a cross-shard edge it posts a notice that charges the child's counters
+//    on the child's own shard, so every per-receiver counter keeps a single
+//    writer.
 //
 // Loss draws are STATELESS: instead of one generator consumed in event
 // order (whose stream would depend on how receivers interleave across
@@ -45,7 +47,7 @@
 // which the data plane reads during windows, so the churn driver runs every
 // event as a ShardSet::PostGlobal stop-the-world callback (workers parked,
 // all clocks at the event's instant) — the overlay twin of the fault
-// driver's spanning mode.
+// driver, whose every step is such a callback.
 #ifndef PANDORA_SRC_OVERLAY_SHARDED_H_
 #define PANDORA_SRC_OVERLAY_SHARDED_H_
 
@@ -154,7 +156,11 @@ class ShardedOverlayMulticast {
   // Relays one copy from `parent` (kOverlaySource for the root) toward
   // `child`; runs on the parent's shard.
   void RelayTo(int tree, int parent, int child, int64_t seq);
-  // Charges a parent-side drop to the child, on the child's shard.
+  // Charges a parent-side drop to the child's counters: in place when
+  // parent shard `ps` is the child's shard `cs`, otherwise by a CountDrop
+  // notice posted to the child's shard for `arrival`.
+  void Drop(int ps, int cs, int child, int kind, Time arrival);
+  // Counts one drop of `kind`; runs on the child's shard.
   void CountDrop(int child, int kind);
   void RepairNow(int r);
   // Every shard's join log merged into the canonical (time, receiver) order.
@@ -162,7 +168,6 @@ class ShardedOverlayMulticast {
   // Stateless per-copy loss draw — a pure function of (seed, tree, child,
   // seq), independent of event order and shard layout.
   bool LossDraw(int tree, int child, int64_t seq, double loss_rate) const;
-  Scheduler* sched_of(int r) { return scheds_[static_cast<size_t>(shard_of(r))]; }
   Time& lane_busy(int tree, int node) {
     return lane_busy_[static_cast<size_t>(node) * static_cast<size_t>(trees_->stripes) +
                       static_cast<size_t>(tree)];

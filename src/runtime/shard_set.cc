@@ -422,27 +422,21 @@ void ShardSet::EnableTrace(size_t max_events_per_shard) {
   }
 }
 
+void ShardSet::MergeTracesInto(TraceRecorder* merged) const {
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    merged->MergeFrom(*shards_[i]->trace(), "s" + std::to_string(i) + ":");
+  }
+}
+
 std::string ShardSet::ExportMergedTraceJson() const {
   TraceRecorder merged;
-  std::string prefix;
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    prefix = "s";
-    prefix += std::to_string(i);
-    prefix += ':';
-    merged.MergeFrom(*shards_[i]->trace(), prefix);
-  }
+  MergeTracesInto(&merged);
   return merged.ExportJson();
 }
 
 bool ShardSet::ExportMergedTraceTo(const std::string& path) const {
   TraceRecorder merged;
-  std::string prefix;
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    prefix = "s";
-    prefix += std::to_string(i);
-    prefix += ':';
-    merged.MergeFrom(*shards_[i]->trace(), prefix);
-  }
+  MergeTracesInto(&merged);
   return merged.ExportJsonTo(path);
 }
 

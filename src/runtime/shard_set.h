@@ -279,6 +279,8 @@ class ShardSet {
   void AwaitChange(const std::atomic<uint32_t>& word, uint32_t old) const;
   void StopWorkers();
   void RethrowFirstShardError();
+  // Folds every shard's recorder into `merged`, each track prefixed "s<i>:".
+  void MergeTracesInto(TraceRecorder* merged) const;
 
   ShardSetOptions options_;
   int threads_ = 1;

@@ -40,7 +40,7 @@ struct SwitchOptions {
   std::string name = "server.switch";
   // Per-segment handling cost on the server CPU (header inspect + copy).
   Duration segment_cost = Micros(20);
-  AdaptiveDegrader::Options degrade;
+  AdaptiveDegrader::Options degrade{};
 };
 
 class Switch {
@@ -118,7 +118,7 @@ class Switch {
     ShedStats sheds;
     // ActiveTowards() result, rebuilt only when the stream table's routing
     // membership changes (version mismatch), not per segment.
-    std::vector<StreamAttrs> active_cache;
+    std::vector<StreamAttrs> active_cache{};
     uint64_t active_cache_version = 0;
   };
 

@@ -302,6 +302,44 @@ TEST(FaultDriverTest, CircuitDownLosesOnlyDuringEpisode) {
   EXPECT_GT(tracker->received(), 550u);
 }
 
+TEST(FaultDriverTest, LateStartAppliesPastDueEventsAtTheStartInstant) {
+  // A driver started after its first event's time applies that event at
+  // the start instant, whatever the shard count: one step path, armed at
+  // max(next, now), so a spanning world never posts into a finished window.
+  for (const int shards : {1, 4}) {
+    SimulationOptions options;
+    options.shards = shards;
+    Simulation sim(options);
+    PandoraBox::Options a_options = BoxOptions("a");
+    a_options.shard = 0;
+    PandoraBox::Options b_options = BoxOptions("b");
+    b_options.shard = shards - 1;
+    PandoraBox& a = sim.AddBox(a_options);
+    PandoraBox& b = sim.AddBox(b_options);
+    sim.Start();
+    CallPath wan;
+    wan.direct.propagation = Millis(1);  // the cross-shard lookahead floor
+    StreamId at_b = sim.SendAudio(a, b, wan);
+    sim.RunFor(Millis(500));
+
+    FaultPlan plan;
+    ASSERT_TRUE(ParseFaultPlan("@100ms circuit-down call=0", &plan));
+    FaultDriver driver(&sim, plan);
+    driver.Start();
+    sim.RunFor(Millis(500));
+
+    EXPECT_EQ(driver.applied(), 1u) << "shards=" << shards;
+    EXPECT_EQ(driver.skipped(), 0u) << "shards=" << shards;
+    EXPECT_TRUE(driver.quiescent()) << "shards=" << shards;
+    EXPECT_EQ(driver.quiescent_at(), Millis(500)) << "shards=" << shards;
+    // Down from the start instant on: ~125 segments of 4 ms audio lost.
+    const CircuitStats* stats = sim.network().StatsFor(a.port(), at_b);
+    ASSERT_NE(stats, nullptr);
+    EXPECT_GT(stats->lost, 100u) << "shards=" << shards;
+    EXPECT_LT(stats->lost, 150u) << "shards=" << shards;
+  }
+}
+
 TEST(FaultDriverTest, StaleTargetsAreSkippedNotFatal) {
   Simulation sim;
   PandoraBox& a = sim.AddBox(BoxOptions("a"));

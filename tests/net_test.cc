@@ -1,6 +1,7 @@
 // Tests for the ATM network simulation: circuits, VCI relabelling, FIFO
 // delivery under jitter, loss, multi-hop paths and the non-interleaving
 // interface (paper sections 1.1, 4.2).
+#include <optional>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -8,6 +9,7 @@
 #include "src/buffer/pool.h"
 #include "src/net/atm.h"
 #include "src/runtime/scheduler.h"
+#include "src/runtime/shard_set.h"
 #include "src/segment/segment.h"
 #include "src/segment/wire.h"
 
@@ -222,6 +224,119 @@ TEST(AtmTest, NonInterleavedInterfaceDelaysAudioBehindVideo) {
   EXPECT_EQ(got[1].stream, 42u);
   // The audio could not start serializing until the ~20ms video finished.
   EXPECT_GT(rig.a->egress().busy_time(), Millis(20));
+}
+
+// --- Fabric golden ------------------------------------------------------------
+// Pins the fabric's draw order and accounting.  Each stage draws loss, then
+// corruption (only when corrupt_rate > 0), then passes the hop gate, then
+// draws jitter.  Segments lost or delivered are counted on the source shard.
+// One direct and one three-hop bridged circuit, both impaired (loss,
+// corruption, jitter, and on the bridge a slow hop whose queue bound sheds),
+// are driven the same way in three layouts: on a bare Scheduler, and with the
+// destination port on the source's shard or on the other shard of a
+// two-shard set.  The destination link is down for 60 ms mid-run.
+
+Process DrainRx(AtmPort* port, uint64_t* received) {
+  for (;;) {
+    NetRx in = co_await port->rx().Receive();
+    ++*received;
+  }
+}
+
+// offered, delivered, lost, corrupted, latency sum and max, inter-arrival sum
+// for each circuit (direct first), then the network's bytes on the wire, its
+// total loss and corruption, the destination's rx discards and receive count.
+std::vector<uint64_t> FabricFingerprint(int shards, int dst_shard) {
+  ShardSetOptions options;
+  options.shards = shards;
+  options.lookahead = Millis(1);
+  ShardSet set(options);
+  Scheduler& src_sched = set.shard(0);
+  BufferPool pool(&src_sched, "pool", 512);
+  std::optional<AtmNetwork> net;
+  if (shards == 1) {
+    net.emplace(&src_sched, /*seed=*/0xFAB);
+  } else {
+    net.emplace(&set, /*seed=*/0xFAB);
+  }
+  AtmPort* a = net->AddPort("a", 20'000'000, 256, nullptr, 0);
+  AtmPort* b = net->AddPort("b", 20'000'000, 256, nullptr, dst_shard);
+
+  HopQuality direct;
+  direct.propagation = Millis(1);  // the cross-shard lookahead floor
+  direct.jitter_max = Millis(2);
+  direct.loss_rate = 0.05;
+  direct.corrupt_rate = 0.03;
+  net->OpenCircuit(a, 1, b, {}, direct);
+
+  HopQuality first;
+  first.propagation = Micros(200);
+  first.jitter_max = Micros(500);
+  first.loss_rate = 0.02;
+  first.corrupt_rate = 0.01;
+  HopQuality slow;  // ~2 ms per segment against 1 ms spacing: sheds at 5 ms
+  slow.bits_per_second = 500'000;
+  slow.propagation = Micros(300);
+  slow.max_queue = Millis(5);
+  HopQuality last;
+  last.propagation = Millis(1);
+  last.jitter_max = Millis(2);
+  last.loss_rate = 0.01;
+  last.corrupt_rate = 0.02;
+  NetHop* h1 = net->AddHop("h1", first);
+  NetHop* h2 = net->AddHop("h2", slow);
+  NetHop* h3 = net->AddHop("h3", last);
+  net->OpenCircuit(a, 2, b, {h1, h2, h3});
+
+  uint64_t received = 0;
+  src_sched.Spawn(SendSegments(&src_sched, &pool, a, 1, 500, Millis(1)), "tx.direct");
+  src_sched.Spawn(SendSegments(&src_sched, &pool, a, 2, 500, Millis(1), 100), "tx.bridged");
+  set.shard(dst_shard).Spawn(DrainRx(b, &received), "rx");
+  // The outage is flipped by hand between Run* calls: this fabric-level
+  // world has no Simulation for a FaultDriver to act on.
+  set.RunFor(Millis(200));
+  net->SetPortUp(b, false);  // NOLINT(pandora-fault-hooks): fabric golden, no FaultDriver
+  set.RunFor(Millis(60));
+  net->SetPortUp(b, true);  // NOLINT(pandora-fault-hooks): fabric golden, no FaultDriver
+  set.RunFor(Millis(740));
+
+  std::vector<uint64_t> got;
+  for (Vci vci : {Vci{1}, Vci{2}}) {
+    const CircuitStats* stats = net->StatsFor(a, vci);
+    got.push_back(stats->offered);
+    got.push_back(stats->delivered);
+    got.push_back(stats->lost);
+    got.push_back(stats->corrupted);
+    got.push_back(static_cast<uint64_t>(stats->latency.sum()));
+    got.push_back(static_cast<uint64_t>(stats->latency.max()));
+    got.push_back(static_cast<uint64_t>(stats->inter_arrival.sum()));
+  }
+  got.push_back(net->bytes_on_wire());
+  got.push_back(net->total_lost());
+  got.push_back(net->total_corrupted());
+  got.push_back(b->rx_discarded());
+  got.push_back(received);
+  set.Shutdown();
+  return got;
+}
+
+TEST(FabricGolden, DirectAndBridgedCircuitsMatchPinned) {
+  // A one-shard fabric and a same-shard exit on a two-shard set agree bit
+  // for bit.
+  const std::vector<uint64_t> kSameShard = {
+      500, 415, 85, 20, 862612, 2999, 499621,    // direct
+      500, 204, 296, 6, 1910437, 10686, 503485,  // bridged
+      231472, 381, 26, 88, 619};
+  EXPECT_EQ(FabricFingerprint(1, 0), kSameShard);
+  EXPECT_EQ(FabricFingerprint(2, 0), kSameShard);
+  // A cross-shard exit checks the destination link when it posts, not after
+  // the final propagation, so the outage window shifts by that stage; the
+  // exit loss does not touch the destination shard's rx_discarded.
+  const std::vector<uint64_t> kCrossShard = {
+      500, 416, 84, 20, 864707, 2999, 499621,    // direct
+      500, 203, 297, 6, 1901178, 10686, 503485,  // bridged
+      231472, 384, 26, 3, 616};
+  EXPECT_EQ(FabricFingerprint(2, 1), kCrossShard);
 }
 
 }  // namespace
